@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -29,6 +28,8 @@ def parse_budgets(text: str) -> list[int]:
     """Either a comma list of counts or a doubling range like 2^4..2^14."""
     if ".." in text:
         lo, hi = (_parse_budget_token(tok) for tok in text.split("..", 1))
+        if not 1 <= lo <= hi:
+            raise ratelab.ConfigurationError(f"budget range needs 1 <= low <= high, got {text!r}")
         budgets = []
         b = lo
         while b <= hi:
@@ -106,20 +107,6 @@ def cmd_fool(args) -> int:
     return 0
 
 
-def _integrate_once(args, spec, fn, rng) -> integrators.IntegrationResult:
-    if args.method == "det":
-        n = math.ceil(args.eps1 ** (-1.0 / spec.gamma))
-        return integrators.integrate_deterministic(fn, max(1, math.ceil(n ** (1.0 / spec.d))))
-    if args.method == "mc":
-        return integrators.integrate_mc(fn, math.ceil(args.eps1**-2), rng)
-    if args.method == "mcvr":
-        samples = math.ceil(args.eps1 ** (-2.0 / (1.0 + 2.0 * spec.gamma)))
-        return integrators.integrate_mc(fn, samples, rng, variance_reduced=True)
-    if args.method == "coin":
-        return integrators.integrate_coin(fn, args.eps1, rng)
-    return integrators.integrate_quantum(fn, args.eps1, rng, mode=args.mode)
-
-
 def cmd_integrate(args) -> int:
     spec = make_spec(args.d, args.k, args.alpha)
     rows = []
@@ -137,9 +124,9 @@ def cmd_integrate(args) -> int:
                          **ledger.as_dict()})
     else:
         fn = _pick_function(args, spec)
+        by_eps = ratelab.METHODS[args.method].by_eps
         for trial in range(args.trials):
-            rng = _rng(args.seed + trial)
-            result = _integrate_once(args, spec, fn, rng)
+            result = by_eps(fn, args.eps1, args.mode, _rng(args.seed + trial))
             row = {"trial": trial, "estimate": result.estimate, **result.ledger.as_dict()}
             if fn.exact_integral is not None:
                 row["error"] = abs(result.estimate - fn.exact_integral)
@@ -215,8 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fool)
 
     p = sub.add_parser("integrate", help="run one integrator for several trials")
-    p.add_argument("--method", choices=["det", "mc", "mcvr", "coin", "quantum", "rand-quantum"],
-                   required=True)
+    p.add_argument("--method", choices=[*ratelab.METHODS, "rand-quantum"], required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--alpha", type=float, default=1.0)

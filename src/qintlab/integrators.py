@@ -26,7 +26,7 @@ from . import amp_est
 from .amp_est import RealOracle, estimate_mean, estimate_mean_from_amplitude, median_boost
 from .holder import HolderClassSpec, HolderFunction
 from .ledger import ResourceLedger
-from .quadrature import _flat_to_points, interpolate, midpoint_rule, probe_sup, residual
+from .quadrature import cell_midpoints, interpolate, midpoint_rule, probe_sup, residual
 
 _CHUNK = 1 << 18
 _BETA_CAP = 0.9
@@ -182,7 +182,7 @@ def integrate_coin(
     total = 0.0
     for start in range(0, draws, _CHUNK):
         chunk = indices[start : start + _CHUNK]
-        total += float(g(_flat_to_points(chunk, ell_n, spec.d), ledger).sum())
+        total += float(g(cell_midpoints(chunk, ell_n, spec.d), ledger).sum())
     estimate = proj.exact_integral + total / draws
     return IntegrationResult(
         estimate,
@@ -213,7 +213,7 @@ def _scaled_residual_amplitude(g, bound, n_nodes, ell_n, d):
     clipped = 0
     for start in range(0, n_nodes, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, n_nodes))
-        vals = np.asarray(g.evaluator(_flat_to_points(idx, ell_n, d)), dtype=float)
+        vals = np.asarray(g.evaluator(cell_midpoints(idx, ell_n, d)), dtype=float)
         raw_sum += float(vals.sum())
         scaled = (vals + bound) / (2.0 * bound)
         clipped += int(((scaled < 0.0) | (scaled > 1.0)).sum())
@@ -276,7 +276,7 @@ def integrate_quantum(
         # Materialise the scaled residual as a value oracle and run the
         # full register simulation.
         idx = np.arange(n_nodes)
-        vals = np.asarray(g.evaluator(_flat_to_points(idx, ell_n, spec.d)), dtype=float)
+        vals = np.asarray(g.evaluator(cell_midpoints(idx, ell_n, spec.d)), dtype=float)
         oracle = RealOracle(np.clip((vals + bound) / (2.0 * bound), 0.0, 1.0))
         est = estimate_mean(oracle, power, rng, mode="exact", ledger=ledger)
     else:

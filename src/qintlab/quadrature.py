@@ -19,7 +19,7 @@ PROBE_OVERSAMPLE = 8
 _PROBE_CAP = 1 << 22
 
 
-def _flat_to_points(indices: np.ndarray, ell: int, d: int) -> np.ndarray:
+def cell_midpoints(indices: np.ndarray, ell: int, d: int) -> np.ndarray:
     """Midpoints of the cells with the given C-order flat indices."""
     pts = np.empty((indices.size, d))
     rem = indices
@@ -38,7 +38,7 @@ def midpoint_rule(f: HolderFunction, ell: int, ledger: ResourceLedger | None = N
     total = 0.0
     for start in range(0, n, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, n))
-        total += float(f(_flat_to_points(idx, ell, d), ledger).sum())
+        total += float(f(cell_midpoints(idx, ell, d), ledger).sum())
     return total / n
 
 
@@ -132,15 +132,10 @@ def interpolate(
     for start in range(0, ncells, max(1, _CHUNK // nloc)):
         stop = min(start + max(1, _CHUNK // nloc), ncells)
         idx = np.arange(start, stop)
-        corners = _flat_to_points(idx, ell, d) - 0.5 / ell
+        corners = cell_midpoints(idx, ell, d) - 0.5 / ell
         pts = (corners[:, None, :] + local_offsets[None, :, :] / ell).reshape(-1, d)
         node_values[start:stop] = f(pts, ledger).reshape(stop - start, nloc)
     return PiecewiseInterpolant(f.spec, ell, node_values)
-
-
-def exact_integral(p: PiecewiseInterpolant) -> float:
-    """Closed-form integral of the piecewise polynomial."""
-    return p.exact_integral
 
 
 def residual(f: HolderFunction, p: PiecewiseInterpolant) -> HolderFunction:
@@ -163,7 +158,7 @@ def probe_sup(f: HolderFunction, cell_resolution: int) -> float:
 
     The grid uses PROBE_OVERSAMPLE times the cell resolution per axis,
     capped in total size; probing is harness instrumentation and does not
-    touch any ledger.
+    touch any ledger.  Raises ValueError if f is not finite on the grid.
     """
     d = f.spec.d
     per_axis = max(2, PROBE_OVERSAMPLE * cell_resolution)
@@ -173,6 +168,8 @@ def probe_sup(f: HolderFunction, cell_resolution: int) -> float:
     worst = 0.0
     for start in range(0, n, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, n))
-        vals = f.evaluator(_flat_to_points(idx, per_axis, d))
-        worst = max(worst, float(np.abs(vals).max()))
+        chunk_max = float(np.abs(f.evaluator(cell_midpoints(idx, per_axis, d))).max())
+        if not np.isfinite(chunk_max):
+            raise ValueError(f"{f.name or 'function'} is not finite on the probe grid")
+        worst = max(worst, chunk_max)
     return worst

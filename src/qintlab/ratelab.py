@@ -13,9 +13,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +27,7 @@ from .integrators import (
     integrate_mc,
     integrate_quantum,
 )
-
-METHODS = ("det", "mc", "mcvr", "coin", "quantum")
+from .ledger import ResourceLedger
 
 _BOOTSTRAP_RESAMPLES = 1000
 _BOOTSTRAP_KEY = 10007
@@ -80,41 +78,64 @@ def _trial_rng(seed: int, budget_index: int, trial_index: int) -> np.random.Gene
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _measured_budget(method: str, result: IntegrationResult) -> int:
-    led = result.ledger
-    if method in ("det", "mc", "mcvr"):
-        return led.classical_evals
-    if method == "coin":
-        return led.classical_evals + led.random_bits
-    return led.quantum_queries
+def _det_by_budget(fn, budget, mode, rng):
+    return integrate_deterministic(fn, max(1, round(budget ** (1.0 / fn.spec.d))))
 
 
-def _run_one(
-    method: str,
-    fn: HolderFunction,
-    budget: int,
-    mode: str,
-    rng: np.random.Generator,
-) -> IntegrationResult:
-    d = fn.spec.d
-    if method == "det":
-        ell = max(1, round(budget ** (1.0 / d)))
-        return integrate_deterministic(fn, ell)
-    if method == "mc":
-        return integrate_mc(fn, budget, rng)
-    if method == "mcvr":
-        return integrate_mc(fn, max(1, budget // 2), rng, variance_reduced=True)
-    if method == "coin":
-        eps1 = min(0.49, budget**-0.5)
-        return integrate_coin(fn, eps1, rng)
-    if method == "quantum":
-        if budget < 16 or budget & (budget - 1):
-            raise ConfigurationError(
-                f"quantum budgets must be powers of two >= 16, got {budget}"
-            )
-        eps1 = math.pi / budget + math.pi**2 / budget**2
-        return integrate_quantum(fn, eps1, rng, mode=mode)
-    raise ConfigurationError(f"unknown method {method!r}")
+def _det_by_eps(fn, eps1, mode, rng):
+    n = math.ceil(eps1 ** (-1.0 / fn.spec.gamma))
+    return integrate_deterministic(fn, max(1, math.ceil(n ** (1.0 / fn.spec.d))))
+
+
+def _quantum_by_budget(fn, budget, mode, rng):
+    if budget < 16 or budget & (budget - 1):
+        raise ConfigurationError(f"quantum budgets must be powers of two >= 16, got {budget}")
+    return integrate_quantum(fn, math.pi / budget + math.pi**2 / budget**2, rng, mode=mode)
+
+
+@dataclass(frozen=True)
+class Method:
+    """One method family, the single place its parameters are chosen.
+
+    ``by_budget`` serves ``qintlab rates`` and ``by_eps`` serves ``qintlab
+    integrate``; both take ``(fn, budget or eps1, mode, rng)`` and the two
+    maps differ on purpose.  ``cost`` reads the ledger category the rate is
+    fitted on.  A method that is not randomized runs once per budget row.
+    Entries look the ``integrate_*`` functions up in this module at call
+    time, so rebinding them here reaches every caller.
+    """
+
+    by_budget: Callable
+    by_eps: Callable
+    cost: Callable[[ResourceLedger], int]
+    randomized: bool = True
+
+
+METHODS = {
+    "det": Method(_det_by_budget, _det_by_eps, lambda led: led.classical_evals, randomized=False),
+    "mc": Method(
+        lambda fn, budget, mode, rng: integrate_mc(fn, budget, rng),
+        lambda fn, eps1, mode, rng: integrate_mc(fn, math.ceil(eps1**-2), rng),
+        lambda led: led.classical_evals,
+    ),
+    "mcvr": Method(
+        lambda fn, budget, mode, rng: integrate_mc(fn, max(1, budget // 2), rng, variance_reduced=True),
+        lambda fn, eps1, mode, rng: integrate_mc(
+            fn, math.ceil(eps1 ** (-2.0 / (1.0 + 2.0 * fn.spec.gamma))), rng, variance_reduced=True
+        ),
+        lambda led: led.classical_evals,
+    ),
+    "coin": Method(
+        lambda fn, budget, mode, rng: integrate_coin(fn, min(0.49, budget**-0.5), rng),
+        lambda fn, eps1, mode, rng: integrate_coin(fn, eps1, rng),
+        lambda led: led.classical_evals + led.random_bits,
+    ),
+    "quantum": Method(
+        _quantum_by_budget,
+        lambda fn, eps1, mode, rng: integrate_quantum(fn, eps1, rng, mode=mode),
+        lambda led: led.quantum_queries,
+    ),
+}
 
 
 def run_convergence(
@@ -130,11 +151,11 @@ def run_convergence(
 
     Deterministic given the seed: trial streams are split from
     (seed, budget index, trial index), so trial counts do not perturb each
-    other and rows can run in parallel (capped by QINTLAB_THREADS).
-    Deterministic methods run once per budget and replicate the row.
+    other.  Methods that are not randomized run once per budget and
+    replicate the row.
     """
     if method not in METHODS:
-        raise ConfigurationError(f"method must be one of {METHODS}, got {method!r}")
+        raise ConfigurationError(f"method must be one of {tuple(METHODS)}, got {method!r}")
     budgets = [int(b) for b in budgets]
     if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
         raise ConfigurationError("budgets must be strictly increasing")
@@ -145,6 +166,7 @@ def run_convergence(
     if fn.spec != spec:
         raise ConfigurationError("function was built for a different class spec")
     exact = fn.exact_integral
+    entry = METHODS[method]
 
     def record(result: IntegrationResult) -> TrialRecord:
         led = result.ledger
@@ -156,26 +178,12 @@ def run_convergence(
             gates=led.gates,
         )
 
-    threads = max(1, int(os.environ.get("QINTLAB_THREADS", "1")))
+    runs = trials if entry.randomized else 1
     rows = []
     for bi, budget in enumerate(budgets):
-        if method == "det":
-            result = _run_one(method, fn, budget, mode, _trial_rng(seed, bi, 0))
-            rows.append(
-                BudgetRow(budget, _measured_budget(method, result), [record(result)] * trials)
-            )
-            continue
-
-        def one_trial(ti: int) -> IntegrationResult:
-            return _run_one(method, fn, budget, mode, _trial_rng(seed, bi, ti))
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(one_trial, range(trials)))
-        else:
-            results = [one_trial(ti) for ti in range(trials)]
-        measured = _measured_budget(method, results[0])
-        rows.append(BudgetRow(budget, measured, [record(r) for r in results]))
+        results = [entry.by_budget(fn, budget, mode, _trial_rng(seed, bi, ti)) for ti in range(runs)]
+        records = [record(r) for r in results] * (trials // runs)
+        rows.append(BudgetRow(budget, entry.cost(results[0].ledger), records))
     return ConvergenceReport(
         method=method,
         d=spec.d,
@@ -229,7 +237,7 @@ def fit_rate(report: ConvergenceReport) -> tuple[float, tuple[float, float]]:
 
 CSV_HEADER = (
     "method,d,k,alpha,gamma,mode,budget,trial,error,"
-    "classical_evals,quantum_queries,random_bits,gates,seed"
+    "classical_evals,quantum_queries,random_bits,gates,seed,requested,fn"
 )
 
 
@@ -251,13 +259,14 @@ def _export_csv(report: ConvergenceReport, path: str) -> None:
     with out:
         out.write(CSV_HEADER + "\n")
         seed = report.metadata.get("seed", 0)
+        fn = report.metadata.get("fn", "")
         for row in report.rows:
             for ti, trial in enumerate(row.trials):
                 out.write(
                     f"{report.method},{report.d},{report.k},{report.alpha!r},"
                     f"{report.gamma!r},{report.mode},{row.budget},{ti},{trial.error!r},"
                     f"{trial.classical_evals},{trial.quantum_queries},"
-                    f"{trial.random_bits},{trial.gates},{seed}\n"
+                    f"{trial.random_bits},{trial.gates},{seed},{row.requested},{fn}\n"
                 )
 
 
@@ -327,11 +336,11 @@ def load_report(path: str, fmt: str) -> ConvergenceReport:
                     k=int(record["k"]),
                     alpha=float(record["alpha"]),
                     mode=record["mode"],
-                    metadata={"seed": int(record["seed"])},
+                    metadata={"seed": int(record["seed"]), "fn": record.get("fn")},
                 )
-            budget = int(record["budget"])
-            if not report.rows or report.rows[-1].budget != budget:
-                report.rows.append(BudgetRow(requested=budget, budget=budget, trials=[]))
+            requested = int(record.get("requested") or record["budget"])
+            if not report.rows or report.rows[-1].requested != requested:
+                report.rows.append(BudgetRow(requested, int(record["budget"]), trials=[]))
             report.rows[-1].trials.append(
                 TrialRecord(
                     error=float(record["error"]),

@@ -5,14 +5,38 @@ import json
 import numpy as np
 import pytest
 
-from qintlab.cli import main, parse_budgets
+from qintlab import ratelab
+from qintlab.cli import build_parser, main, parse_budgets
 from qintlab.holder import fooling_family, make_spec
+from qintlab.ratelab import ConfigurationError
 
 
 def test_parse_budgets():
     assert parse_budgets("2^4..2^7") == [16, 32, 64, 128]
     assert parse_budgets("16,64,256") == [16, 64, 256]
     assert parse_budgets("2^10") == [1024]
+
+
+@pytest.mark.parametrize("text", ["0..8", "-4..8", "2^5..2^4"])
+def test_parse_budgets_rejects_bad_ranges(text):
+    with pytest.raises(ConfigurationError, match="budget range"):
+        parse_budgets(text)
+
+
+def test_rates_zero_budget_range_exit_code(capsys):
+    code = main(["rates", "--method", "mc", "--d", "1", "--budgets", "0..8", "--trials", "1"])
+    assert code == 2
+    assert "budget range" in capsys.readouterr().err
+
+
+def test_method_choices_come_from_the_table(monkeypatch):
+    monkeypatch.setitem(ratelab.METHODS, "extra", ratelab.METHODS["mc"])
+    parser = build_parser()
+    assert parser.parse_args(["rates", "--method", "extra", "--d", "1", "--budgets", "4"]).method == "extra"
+    assert parser.parse_args(["integrate", "--method", "extra", "--d", "1", "--eps1", "0.1"]).method == "extra"
+    assert parser.parse_args(["integrate", "--method", "rand-quantum", "--d", "1", "--eps1", "0.1"])
+    with pytest.raises(SystemExit):
+        parser.parse_args(["rates", "--method", "rand-quantum", "--d", "1", "--budgets", "4"])
 
 
 def test_grover_command(capsys):

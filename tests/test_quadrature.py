@@ -6,7 +6,7 @@ import pytest
 from qintlab.holder import test_suite as benchmark_suite
 from qintlab.holder import HolderFunction, make_spec, suite_member
 from qintlab.ledger import ResourceLedger
-from qintlab.quadrature import exact_integral, interpolate, midpoint_rule, probe_sup, residual
+from qintlab.quadrature import interpolate, midpoint_rule, probe_sup, residual
 
 SPEC1 = make_spec(1, 0, 1)
 
@@ -62,6 +62,13 @@ def test_piecewise_constant_kink_residual():
     assert probe_sup(residual(f, p), p.ell) <= 0.25 + 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_probe_sup_rejects_non_finite_values(bad):
+    f = fn(lambda p: np.where(p[:, 0] > 0.5, bad, 0.0), name="spiky")
+    with pytest.raises(ValueError, match="spiky is not finite"):
+        probe_sup(f, 4)
+
+
 def test_polynomial_reproduction():
     spec = make_spec(1, 2, 1)
     f = fn(lambda p: 0.2 + 0.3 * p[:, 0] - 0.4 * p[:, 0] ** 2, spec)
@@ -79,9 +86,9 @@ def test_constant_integral_any_budget():
 def test_exact_integral_examples():
     linear = fn(lambda p: p[:, 0])
     p0 = interpolate(linear, 2)  # midpoint samples 0.25 and 0.75
-    assert exact_integral(p0) == pytest.approx(0.5, abs=1e-15)
+    assert p0.exact_integral == pytest.approx(0.5, abs=1e-15)
     p1 = interpolate(fn(lambda p: p[:, 0], make_spec(1, 1, 1)), 4)
-    assert exact_integral(p1) == pytest.approx(0.5, abs=1e-14)
+    assert p1.exact_integral == pytest.approx(0.5, abs=1e-14)
 
 
 def test_exact_integral_matches_fine_quadrature():

@@ -8,6 +8,7 @@ from qintlab.ratelab import (
     BudgetRow,
     ConfigurationError,
     ConvergenceReport,
+    METHODS,
     TrialRecord,
     export,
     fit_rate,
@@ -95,6 +96,22 @@ def test_run_convergence_validation():
         run_convergence("quantum", SPEC1, [4, 8, 12, 16], trials=1, seed=0, fn=f)
 
 
+def test_method_table_fits_each_method_on_its_cost():
+    cost = {
+        "det": lambda t: t.classical_evals,
+        "mc": lambda t: t.classical_evals,
+        "mcvr": lambda t: t.classical_evals,
+        "coin": lambda t: t.classical_evals + t.random_bits,
+        "quantum": lambda t: t.quantum_queries,
+    }
+    assert list(METHODS) == list(cost)
+    assert [m for m, entry in METHODS.items() if not entry.randomized] == ["det"]
+    f = suite_member(SPEC1, "quadratic")
+    for method in METHODS:
+        report = run_convergence(method, SPEC1, [64, 128], trials=2, seed=3, fn=f)
+        assert [row.budget for row in report.rows] == [cost[method](row.trials[0]) for row in report.rows]
+
+
 def test_quantum_budget_axis_is_query_count():
     f = suite_member(SPEC1, "quadratic")
     report = run_convergence("quantum", SPEC1, [32, 64, 128, 256], trials=2, seed=1, fn=f)
@@ -136,6 +153,35 @@ def test_export_roundtrip_reproduces_fit(tmp_path, fmt):
     slope2, ci2 = fit_rate(loaded)
     assert slope2 == slope
     assert ci2 == ci
+    assert [row.requested for row in loaded.rows] == [row.requested for row in report.rows]
+    assert [row.budget for row in loaded.rows] == [row.budget for row in report.rows]
+    assert loaded.metadata["fn"] == "multiscale"
+
+
+def test_csv_roundtrip_keeps_rows_that_share_a_budget(tmp_path):
+    # 16 and 20 both round to a 4x4 grid, so the two rows share a measured budget.
+    spec = make_spec(2, 0, 1)
+    report = run_convergence("det", spec, [16, 20, 64, 256], trials=2, seed=0,
+                             fn=suite_member(spec, "multiscale"))
+    assert report.rows[0].budget == report.rows[1].budget
+    path = tmp_path / "report.csv"
+    export(report, "csv", str(path))
+    loaded = load_report(str(path), "csv")
+    assert [(row.requested, row.budget, len(row.trials)) for row in loaded.rows] == [
+        (row.requested, row.budget, len(row.trials)) for row in report.rows
+    ]
+
+
+def test_csv_without_requested_and_fn_columns_still_loads(tmp_path):
+    f = suite_member(SPEC1, "multiscale")
+    report = run_convergence("mc", SPEC1, [16, 32, 64, 128], trials=3, seed=4, fn=f)
+    path = tmp_path / "report.csv"
+    export(report, "csv", str(path))
+    lines = path.read_text().splitlines()
+    path.write_text("".join(line.rsplit(",", 2)[0] + "\n" for line in lines))
+    loaded = load_report(str(path), "csv")
+    assert [row.requested for row in loaded.rows] == [row.budget for row in report.rows]
+    assert fit_rate(loaded) == fit_rate(report)
 
 
 def test_export_identical_bytes_for_identical_config(tmp_path):
@@ -154,12 +200,3 @@ def test_export_unwritable_path_mentions_path():
     report = run_convergence("det", SPEC1, [4, 8], trials=1, seed=0, fn=f)
     with pytest.raises(OSError, match="/nonexistent/dir/out.csv"):
         export(report, "csv", "/nonexistent/dir/out.csv")
-
-
-def test_threaded_trials_match_serial(monkeypatch, tmp_path):
-    f = suite_member(SPEC1, "multiscale")
-    serial = run_convergence("mc", SPEC1, [32, 64, 128, 256], trials=6, seed=2, fn=f)
-    monkeypatch.setenv("QINTLAB_THREADS", "3")
-    threaded = run_convergence("mc", SPEC1, [32, 64, 128, 256], trials=6, seed=2, fn=f)
-    for a, b in zip(serial.rows, threaded.rows):
-        assert [t.error for t in a.trials] == [t.error for t in b.trials]
