@@ -15,6 +15,7 @@ Two execution paths produce the same outcome law: a full state-vector
 simulation of the (t + m + 1)-qubit circuit, and direct sampling from the
 closed-form phase-measurement distribution.  The first is ground truth for
 small registers, the second stays cheap when the register would not fit.
+Either law is built once as an ``OutcomeLaw``; a run is one draw from it.
 """
 
 from __future__ import annotations
@@ -187,13 +188,70 @@ def _charge(ledger: ResourceLedger | None, m_data: int, t: int, M: int) -> None:
         ledger.gates += _gate_count(m_data, t, M)
 
 
+@dataclass(frozen=True, eq=False)
+class OutcomeLaw:
+    """Sampling law of one estimation run, with the run's accounting.
+
+    ``estimates[i]`` is the raw (unrescaled) estimate drawn with probability
+    ``probs[i]``.  A law does not depend on the random stream, so it can be
+    built once and drawn from for every run on the same oracle.
+    """
+
+    estimates: np.ndarray
+    probs: np.ndarray
+    M: int
+    n: int
+    n_padded: int
+    mode: str
+
+    def draw(self, rng: np.random.Generator, ledger: ResourceLedger | None = None) -> MeanEstimate:
+        """One run: a single outcome draw, rescaled by n_padded / n and charged."""
+        raw = float(self.estimates[rng.choice(self.probs.size, p=self.probs)])
+        _charge(ledger, self.n_padded.bit_length() - 1, self.M.bit_length() - 1, self.M)
+        value = min(1.0, raw * self.n_padded / self.n)
+        return MeanEstimate(value=value, queries_used=self.M, mode=self.mode)
+
+
+def amplitude_law(a_padded: float, n: int, n_padded: int, M: int) -> OutcomeLaw:
+    """Closed-form law of the folded estimate for a padded mean ``a_padded``.
+
+    Accounting matches a run on the materialised n-item oracle, so the caller
+    may stream ``a_padded`` from however many values exist.
+    """
+    _log2_power_of_two(M)
+    if n_padded < n or n_padded != 2 ** (n_padded.bit_length() - 1):
+        raise ValueError(f"padded count {n_padded} invalid for n={n}")
+    estimates, probs = phase_estimation_distribution(a_padded, M)
+    probs = np.clip(probs, 0.0, None)
+    return OutcomeLaw(estimates, probs / probs.sum(), M, n, n_padded, "analytic")
+
+
+def outcome_law(oracle: RealOracle, M: int, mode: str = "auto") -> OutcomeLaw:
+    """The law ``estimate_mean`` draws from.
+
+    "exact" takes the law of the raw readout y from the full register
+    simulation, "analytic" the closed-form law of the folded estimate, and
+    "auto" is exact while the register stays small.
+    """
+    _log2_power_of_two(M)
+    if mode not in ("auto", "exact", "analytic"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "auto":
+        mode = "exact" if oracle.n_padded * M <= AUTO_EXACT_LIMIT else "analytic"
+    if mode == "analytic":
+        return amplitude_law(oracle.padded_mean(), oracle.n, oracle.n_padded, M)
+    probs = exact_outcome_distribution(oracle, M)
+    estimates = np.array([math.sin(math.pi * y / M) ** 2 for y in range(M)])
+    return OutcomeLaw(
+        estimates, np.clip(probs, 0.0, None) / probs.sum(), M, oracle.n, oracle.n_padded, "exact"
+    )
+
+
 def sample_estimate_from_amplitude(
     a: float, M: int, rng: np.random.Generator
 ) -> float:
     """Draw one folded estimate for a known amplitude."""
-    estimates, probs = phase_estimation_distribution(a, M)
-    probs = np.clip(probs, 0.0, None)
-    return float(estimates[rng.choice(probs.size, p=probs / probs.sum())])
+    return amplitude_law(a, 1, 1, M).draw(rng).value
 
 
 def estimate_mean_from_amplitude(
@@ -210,13 +268,7 @@ def estimate_mean_from_amplitude(
     streams it from however many values exist.  Accounting matches a run on
     the materialised oracle.
     """
-    t = _log2_power_of_two(M)
-    if n_padded < n or n_padded != 2 ** (n_padded.bit_length() - 1):
-        raise ValueError(f"padded count {n_padded} invalid for n={n}")
-    raw = sample_estimate_from_amplitude(a_padded, M, rng)
-    m_data = n_padded.bit_length() - 1
-    _charge(ledger, m_data, t, M)
-    return MeanEstimate(value=min(1.0, raw * n_padded / n), queries_used=M, mode="analytic")
+    return amplitude_law(a_padded, n, n_padded, M).draw(rng, ledger)
 
 
 def estimate_mean(
@@ -233,20 +285,7 @@ def estimate_mean(
     Estimates for padded oracles are rescaled by n_padded / n and clipped
     to [0, 1].
     """
-    t = _log2_power_of_two(M)
-    if mode not in ("auto", "exact", "analytic"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "auto":
-        mode = "exact" if oracle.n_padded * M <= AUTO_EXACT_LIMIT else "analytic"
-    if mode == "exact":
-        probs = exact_outcome_distribution(oracle, M)
-        y = int(rng.choice(M, p=np.clip(probs, 0.0, None) / probs.sum()))
-        raw = math.sin(math.pi * y / M) ** 2
-    else:
-        raw = sample_estimate_from_amplitude(oracle.padded_mean(), M, rng)
-    _charge(ledger, oracle.m_data, t, M)
-    value = min(1.0, raw * oracle.n_padded / oracle.n)
-    return MeanEstimate(value=value, queries_used=M, mode=mode)
+    return outcome_law(oracle, M, mode).draw(rng, ledger)
 
 
 def smallest_power_for_error(eps: float) -> int:

@@ -124,9 +124,9 @@ def cmd_integrate(args) -> int:
                          **ledger.as_dict()})
     else:
         fn = _pick_function(args, spec)
-        by_eps = ratelab.METHODS[args.method].by_eps
+        sample = ratelab.METHODS[args.method].by_eps(fn, args.eps1, args.mode)
         for trial in range(args.trials):
-            result = by_eps(fn, args.eps1, args.mode, _rng(args.seed + trial))
+            result = sample(_rng(args.seed + trial))
             row = {"trial": trial, "estimate": result.estimate, **result.ledger.as_dict()}
             if fn.exact_integral is not None:
                 row["error"] = abs(result.estimate - fn.exact_integral)

@@ -8,6 +8,19 @@ stochastic or quantum budget only on the small residual
 
     estimate = I(Pf) + (approximate midpoint rule of f - Pf).
 
+Each randomized method is split into a plan and a sample.  ``plan_mc``,
+``plan_coin`` and ``plan_quantum`` do the work that does not depend on the
+random stream: the projection, and for the quantum method the sup probe,
+the residual stream over the coupled grid and the outcome law of the
+estimation register.  ``integrate_mc``, ``integrate_coin`` and
+``integrate_quantum`` sample one trial from a plan: the random draws, the
+residual values they select, and the ledger charges.  Every trial's ledger
+is charged the plan's classical evaluations, because each trial stands for
+a full run.  Called without a plan, an ``integrate_*`` routine builds one
+first, so a planned and a planless call on the same random stream return
+the same estimate, ledger and parameters.  A non-finite estimate raises
+ValueError.
+
 Parameter couplings fix every proportionality constant to one, with the
 documented exceptions: the discretisation grid N is kept at least four
 times the interpolation budget, grids round up to perfect d-th powers, and
@@ -23,12 +36,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import amp_est
-from .amp_est import RealOracle, estimate_mean, estimate_mean_from_amplitude, median_boost
+# estimate_mean_from_amplitude is not called here, but bench/tracing.py
+# instruments it, like the quadrature names below, in this module by name.
+from .amp_est import RealOracle, estimate_mean, estimate_mean_from_amplitude, median_boost  # noqa: F401
 from .holder import HolderClassSpec, HolderFunction
 from .ledger import ResourceLedger
-from .quadrature import cell_midpoints, interpolate, midpoint_rule, probe_sup, residual
+from .quadrature import CHUNK, cell_midpoints, interpolate, midpoint_rule, probe_sup, residual
 
-_CHUNK = 1 << 18
 _BETA_CAP = 0.9
 _MIN_N_OVER = 4
 
@@ -77,7 +91,7 @@ class CoinStream:
         if n_outcomes == 1:
             return np.zeros(count, dtype=int), count
         bits = (n_outcomes - 1).bit_length()
-        accepted: list[np.ndarray] = []
+        accepted = [np.empty(0, dtype=np.int64)]
         have = 0
         attempts = 0
         while have < count:
@@ -112,13 +126,71 @@ def _coupled_grid(spec: HolderClassSpec, n_points: int, eps1: float) -> tuple[in
     return ell**spec.d, ell, beta
 
 
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """The trial-invariant part of a randomized run, built by a ``plan_*`` function.
+
+    ``key`` names the call the plan serves; the sampler refuses any other.
+    ``charges`` holds the classical evaluations the projection spent.
+    ``base`` is the projection's exact integral, ``target`` the function
+    the trials sample (the residual, or f itself for plain Monte Carlo) and
+    ``law`` the quantum register's outcome law (None for classical methods
+    and degenerate quantum runs).  ``parameters`` is copied into every
+    trial's result.
+    """
+
+    key: tuple
+    parameters: dict
+    charges: ResourceLedger
+    base: float
+    target: HolderFunction | None = None
+    law: amp_est.OutcomeLaw | None = None
+
+
+def _checked(plan: Plan | None, key: tuple) -> Plan | None:
+    if plan is not None and plan.key != key:
+        raise ValueError(
+            f"plan built for {plan.key[0]}{plan.key[2:]} on {plan.key[1]!r} "
+            f"cannot serve {key[0]}{key[2:]} on {key[1]!r}"
+        )
+    return plan
+
+
+def _charged(ledger: ResourceLedger | None, plan: Plan) -> ResourceLedger:
+    ledger = ledger if ledger is not None else ResourceLedger()
+    ledger.add(plan.charges)
+    return ledger
+
+
+def _finished(
+    f: HolderFunction, estimate: float, ledger: ResourceLedger, parameters: dict
+) -> IntegrationResult:
+    if not math.isfinite(estimate):
+        raise ValueError(f"{f.name or 'function'} gave a non-finite estimate {estimate!r}")
+    return IntegrationResult(estimate, ledger, parameters)
+
+
 def integrate_deterministic(
     f: HolderFunction, ell: int, ledger: ResourceLedger | None = None
 ) -> IntegrationResult:
     """Tensor midpoint rule on an ell-per-axis partition; ell**d evaluations."""
     ledger = ledger if ledger is not None else ResourceLedger()
     estimate = midpoint_rule(f, ell, ledger)
-    return IntegrationResult(estimate, ledger, {"method": "det", "ell": ell, "n": ell**f.spec.d})
+    return _finished(f, estimate, ledger, {"method": "det", "ell": ell, "n": ell**f.spec.d})
+
+
+def plan_mc(f: HolderFunction, samples: int, variance_reduced: bool = False) -> Plan:
+    """Monte Carlo plan: the projection on roughly ``samples`` nodes, if variance-reduced."""
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
+    key = ("mc", f, samples, variance_reduced)
+    params: dict = {"method": "mcvr" if variance_reduced else "mc", "samples": samples}
+    charges = ResourceLedger()
+    if not variance_reduced:
+        return Plan(key, params, charges, 0.0, f)
+    proj = interpolate(f, max(samples, (f.spec.k + 1) ** f.spec.d), charges)
+    params["n_points"] = proj.n_points
+    return Plan(key, params, charges, proj.exact_integral, residual(f, proj))
 
 
 def integrate_mc(
@@ -127,32 +199,46 @@ def integrate_mc(
     rng: np.random.Generator,
     variance_reduced: bool = False,
     ledger: ResourceLedger | None = None,
+    plan: Plan | None = None,
 ) -> IntegrationResult:
     """Monte Carlo integration, plain or around the interpolation projection.
 
     Plain mode averages f at uniform points (unbiased).  Variance-reduced
     mode interpolates on roughly as many nodes as there are samples and
     averages only the residual, so it converges at the optimal randomized
-    order on class members.
+    order on class members.  A ``plan`` from ``plan_mc`` with the same
+    arguments skips the projection.
     """
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
-    ledger = ledger if ledger is not None else ResourceLedger()
-    d = f.spec.d
-    params: dict = {"method": "mcvr" if variance_reduced else "mc", "samples": samples}
-    if variance_reduced:
-        proj = interpolate(f, max(samples, (f.spec.k + 1) ** d), ledger)
-        g = residual(f, proj)
-        base = proj.exact_integral
-        params["n_points"] = proj.n_points
-    else:
-        g = f
-        base = 0.0
+    plan = _checked(plan, ("mc", f, samples, variance_reduced)) or plan_mc(f, samples, variance_reduced)
+    ledger = _charged(ledger, plan)
     total = 0.0
-    for start in range(0, samples, _CHUNK):
-        batch = min(_CHUNK, samples - start)
-        total += float(g(rng.random((batch, d)), ledger).sum())
-    return IntegrationResult(base + total / samples, ledger, params)
+    for start in range(0, samples, CHUNK):
+        batch = min(CHUNK, samples - start)
+        total += float(plan.target(rng.random((batch, f.spec.d)), ledger).sum())
+    return _finished(f, plan.base + total / samples, ledger, dict(plan.parameters))
+
+
+def plan_coin(f: HolderFunction, eps1: float) -> Plan:
+    """Coin plan: the projection and the coupled grid the draws select from."""
+    if not 0.0 < eps1 < 0.5:
+        raise ValueError(f"eps1 must lie in (0, 1/2), got {eps1}")
+    spec = f.spec
+    charges = ResourceLedger()
+    log_term = math.log2(1.0 / eps1)
+    n_target = max(math.ceil(log_term / eps1**2), (spec.k + 1) ** spec.d)
+    proj = interpolate(f, n_target, charges)
+    n_nodes, ell_n, beta = _coupled_grid(spec, proj.n_points, eps1)
+    params = {
+        "method": "coin",
+        "eps1": eps1,
+        "n_points": proj.n_points,
+        "N": n_nodes,
+        "ell_N": ell_n,
+        "beta": beta,
+        "draws": math.ceil(1.0 / eps1**2),
+        "bits_per_attempt": (n_nodes - 1).bit_length() if n_nodes > 1 else 0,
+    }
+    return Plan(("coin", f, eps1), params, charges, proj.exact_integral, residual(f, proj))
 
 
 def integrate_coin(
@@ -160,82 +246,59 @@ def integrate_coin(
     eps1: float,
     rng: np.random.Generator,
     ledger: ResourceLedger | None = None,
+    plan: Plan | None = None,
 ) -> IntegrationResult:
     """Variance reduction with coin-tossing randomness only.
 
     The residual's midpoint rule over N nodes is estimated by averaging at
     uniformly coin-selected nodes: ceil(eps1**-2) draws, each costing
-    ceil(log2 N) bits per rejection attempt.  No quantum queries.
+    ceil(log2 N) bits per rejection attempt.  No quantum queries.  A
+    ``plan`` from ``plan_coin`` with the same arguments skips the projection.
     """
-    if not 0.0 < eps1 < 0.5:
-        raise ValueError(f"eps1 must lie in (0, 1/2), got {eps1}")
-    ledger = ledger if ledger is not None else ResourceLedger()
-    spec = f.spec
-    log_term = math.log2(1.0 / eps1)
-    n_target = max(math.ceil(log_term / eps1**2), (spec.k + 1) ** spec.d)
-    proj = interpolate(f, n_target, ledger)
-    g = residual(f, proj)
-    n_nodes, ell_n, beta = _coupled_grid(spec, proj.n_points, eps1)
-    draws = math.ceil(1.0 / eps1**2)
-    coin = CoinStream(rng, ledger)
-    indices, attempts = coin.draw_indices(n_nodes, draws)
+    plan = _checked(plan, ("coin", f, eps1)) or plan_coin(f, eps1)
+    ledger = _charged(ledger, plan)
+    params = dict(plan.parameters)
+    draws, ell_n = params["draws"], params["ell_N"]
+    indices, params["draw_attempts"] = CoinStream(rng, ledger).draw_indices(params["N"], draws)
     total = 0.0
-    for start in range(0, draws, _CHUNK):
-        chunk = indices[start : start + _CHUNK]
-        total += float(g(cell_midpoints(chunk, ell_n, spec.d), ledger).sum())
-    estimate = proj.exact_integral + total / draws
-    return IntegrationResult(
-        estimate,
-        ledger,
-        {
-            "method": "coin",
-            "eps1": eps1,
-            "n_points": proj.n_points,
-            "N": n_nodes,
-            "ell_N": ell_n,
-            "beta": beta,
-            "draws": draws,
-            "draw_attempts": attempts,
-            "bits_per_attempt": (n_nodes - 1).bit_length() if n_nodes > 1 else 0,
-        },
-    )
+    for start in range(0, draws, CHUNK):
+        chunk = indices[start : start + CHUNK]
+        total += float(plan.target(cell_midpoints(chunk, ell_n, f.spec.d), ledger).sum())
+    return _finished(f, plan.base + total / draws, ledger, params)
 
 
-def _scaled_residual_amplitude(g, bound, n_nodes, ell_n, d):
+def _scaled_residual_amplitude(g, bound, n_nodes, n_padded, ell_n, d, keep):
     """Stream the residual over all nodes: padded mean of (g + B) / 2B.
 
     Returns the padded amplitude, the true midpoint value of the residual,
-    and how many node values the bound failed to cover (clipped).
+    how many node values the bound failed to cover (clipped), and, if
+    ``keep`` is set, the clipped scaled values themselves (else None).
     """
-    n_padded = 1 << max(0, (n_nodes - 1).bit_length())
     scaled_sum = 0.0
     raw_sum = 0.0
     clipped = 0
-    for start in range(0, n_nodes, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, n_nodes))
+    kept = []
+    for start in range(0, n_nodes, CHUNK):
+        idx = np.arange(start, min(start + CHUNK, n_nodes))
         vals = np.asarray(g.evaluator(cell_midpoints(idx, ell_n, d)), dtype=float)
         raw_sum += float(vals.sum())
         scaled = (vals + bound) / (2.0 * bound)
         clipped += int(((scaled < 0.0) | (scaled > 1.0)).sum())
-        scaled_sum += float(np.clip(scaled, 0.0, 1.0).sum())
-    return scaled_sum / n_padded, raw_sum / n_nodes, n_padded, clipped
+        scaled = np.clip(scaled, 0.0, 1.0)
+        scaled_sum += float(scaled.sum())
+        if keep:
+            kept.append(scaled)
+    values = np.concatenate(kept) if keep else None
+    return scaled_sum / n_padded, raw_sum / n_nodes, clipped, values
 
 
-def integrate_quantum(
-    f: HolderFunction,
-    eps1: float,
-    rng: np.random.Generator,
-    mode: str = "query",
-    sim: str = "auto",
-    ledger: ResourceLedger | None = None,
-) -> IntegrationResult:
-    """Variance reduction with the quantum mean estimator on the residual.
+def plan_quantum(f: HolderFunction, eps1: float, mode: str = "query", sim: str = "auto") -> Plan:
+    """Quantum plan: projection, sup probe, residual stream and outcome law.
 
-    Query mode spends ceil(1/eps1) interpolation nodes, bit mode
-    ceil(log2(1/eps1)/eps1).  The residual is shifted into [0, 1] by the
-    bound B = 2 * (probed sup) and its midpoint rule over the coupled grid
-    is estimated to precision eps1 by a single amplitude-estimation run.
-    A residual that probes to zero short-circuits with zero queries.
+    ``sim="exact"`` loads the streamed values into a register oracle and
+    takes the law from the full simulation; "analytic" takes the closed-form
+    law of the streamed amplitude; "auto" is exact while the register stays
+    small.  A residual that probes to zero gives a degenerate plan, no law.
     """
     if not 0.0 < eps1 < 0.5:
         raise ValueError(f"eps1 must lie in (0, 1/2), got {eps1}")
@@ -243,12 +306,13 @@ def integrate_quantum(
         raise ValueError(f"mode must be 'query' or 'bit', got {mode!r}")
     if sim not in ("auto", "exact", "analytic"):
         raise ValueError(f"sim must be 'auto', 'exact' or 'analytic', got {sim!r}")
-    ledger = ledger if ledger is not None else ResourceLedger()
+    key = ("quantum", f, eps1, mode, sim)
     spec = f.spec
+    charges = ResourceLedger()
     inv = 1.0 / eps1
     n_target = math.ceil(inv) if mode == "query" else math.ceil(inv * math.log2(inv))
     n_target = max(n_target, (spec.k + 1) ** spec.d)
-    proj = interpolate(f, n_target, ledger)
+    proj = interpolate(f, n_target, charges)
     g = residual(f, proj)
     params: dict = {
         "method": "quantum",
@@ -263,25 +327,20 @@ def integrate_quantum(
     noise_floor = 64.0 * np.finfo(float).eps * max(1.0, abs(proj.exact_integral))
     if half_bound <= noise_floor:
         params.update({"M": 0, "B": 0.0, "degenerate": True})
-        return IntegrationResult(proj.exact_integral, ledger, params)
+        return Plan(key, params, charges, proj.exact_integral)
     bound = max(2.0 * half_bound, np.finfo(float).eps)
     n_nodes, ell_n, beta = _coupled_grid(spec, proj.n_points, eps1)
     power = amp_est.smallest_power_for_error(eps1)
-    a_padded, residual_midpoint, n_padded, clipped = _scaled_residual_amplitude(
-        g, bound, n_nodes, ell_n, spec.d
-    )
+    n_padded = 1 << max(0, (n_nodes - 1).bit_length())
     if sim == "auto":
         sim = "exact" if n_padded * power <= amp_est.AUTO_EXACT_LIMIT else "analytic"
+    a_padded, residual_midpoint, clipped, values = _scaled_residual_amplitude(
+        g, bound, n_nodes, n_padded, ell_n, spec.d, keep=(sim == "exact")
+    )
     if sim == "exact":
-        # Materialise the scaled residual as a value oracle and run the
-        # full register simulation.
-        idx = np.arange(n_nodes)
-        vals = np.asarray(g.evaluator(cell_midpoints(idx, ell_n, spec.d)), dtype=float)
-        oracle = RealOracle(np.clip((vals + bound) / (2.0 * bound), 0.0, 1.0))
-        est = estimate_mean(oracle, power, rng, mode="exact", ledger=ledger)
+        law = amp_est.outcome_law(RealOracle(values), power, "exact")
     else:
-        est = estimate_mean_from_amplitude(a_padded, n_nodes, n_padded, power, rng, ledger)
-    estimate = proj.exact_integral + (2.0 * bound * est.value - bound)
+        law = amp_est.amplitude_law(a_padded, n_nodes, n_padded, power)
     params.update(
         {
             "N": n_nodes,
@@ -295,7 +354,35 @@ def integrate_quantum(
             "interpolant_integral": proj.exact_integral,
         }
     )
-    return IntegrationResult(estimate, ledger, params)
+    return Plan(key, params, charges, proj.exact_integral, law=law)
+
+
+def integrate_quantum(
+    f: HolderFunction,
+    eps1: float,
+    rng: np.random.Generator,
+    mode: str = "query",
+    sim: str = "auto",
+    ledger: ResourceLedger | None = None,
+    plan: Plan | None = None,
+) -> IntegrationResult:
+    """Variance reduction with the quantum mean estimator on the residual.
+
+    Query mode spends ceil(1/eps1) interpolation nodes, bit mode
+    ceil(log2(1/eps1)/eps1).  The residual is shifted into [0, 1] by the
+    bound B = 2 * (probed sup) and its midpoint rule over the coupled grid
+    is estimated to precision eps1 by a single amplitude-estimation run.
+    A residual that probes to zero short-circuits with zero queries.  With a
+    ``plan`` from ``plan_quantum`` with the same f, eps1, mode and sim, only
+    the outcome draw runs.
+    """
+    plan = _checked(plan, ("quantum", f, eps1, mode, sim)) or plan_quantum(f, eps1, mode, sim)
+    ledger = _charged(ledger, plan)
+    estimate = plan.base
+    if plan.law is not None:
+        bound = plan.parameters["B"]
+        estimate += 2.0 * bound * plan.law.draw(rng, ledger).value - bound
+    return _finished(f, estimate, ledger, dict(plan.parameters))
 
 
 def expectation_randomized_quantum(

@@ -24,6 +24,13 @@ class ResourceLedger:
     random_bits: int = 0
     gates: int = 0
 
+    def add(self, other: ResourceLedger) -> None:
+        """Charge every counter of ``other`` to this ledger."""
+        self.classical_evals += other.classical_evals
+        self.quantum_queries += other.quantum_queries
+        self.random_bits += other.random_bits
+        self.gates += other.gates
+
     def as_dict(self) -> dict[str, int]:
         return {
             "classical_evals": self.classical_evals,

@@ -14,7 +14,8 @@ import numpy as np
 from .holder import HolderFunction
 from .ledger import ResourceLedger
 
-_CHUNK = 1 << 18
+# Points per evaluation batch in every streamed loop of the lab.
+CHUNK = 1 << 18
 PROBE_OVERSAMPLE = 8
 _PROBE_CAP = 1 << 22
 
@@ -36,8 +37,8 @@ def midpoint_rule(f: HolderFunction, ell: int, ledger: ResourceLedger | None = N
     d = f.spec.d
     n = ell**d
     total = 0.0
-    for start in range(0, n, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, n))
+    for start in range(0, n, CHUNK):
+        idx = np.arange(start, min(start + CHUNK, n))
         total += float(f(cell_midpoints(idx, ell, d), ledger).sum())
     return total / n
 
@@ -129,8 +130,8 @@ def interpolate(
     node_values = np.empty((ncells, nloc))
     local_mesh = np.meshgrid(*([tau] * d), indexing="ij")
     local_offsets = np.stack([m.ravel() for m in local_mesh], axis=1)
-    for start in range(0, ncells, max(1, _CHUNK // nloc)):
-        stop = min(start + max(1, _CHUNK // nloc), ncells)
+    for start in range(0, ncells, max(1, CHUNK // nloc)):
+        stop = min(start + max(1, CHUNK // nloc), ncells)
         idx = np.arange(start, stop)
         corners = cell_midpoints(idx, ell, d) - 0.5 / ell
         pts = (corners[:, None, :] + local_offsets[None, :, :] / ell).reshape(-1, d)
@@ -166,8 +167,8 @@ def probe_sup(f: HolderFunction, cell_resolution: int) -> float:
         per_axis //= 2
     n = per_axis**d
     worst = 0.0
-    for start in range(0, n, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, n))
+    for start in range(0, n, CHUNK):
+        idx = np.arange(start, min(start + CHUNK, n))
         chunk_max = float(np.abs(f.evaluator(cell_midpoints(idx, per_axis, d))).max())
         if not np.isfinite(chunk_max):
             raise ValueError(f"{f.name or 'function'} is not finite on the probe grid")

@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import warnings
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -26,6 +27,9 @@ from .integrators import (
     integrate_deterministic,
     integrate_mc,
     integrate_quantum,
+    plan_coin,
+    plan_mc,
+    plan_quantum,
 )
 from .ledger import ResourceLedger
 
@@ -78,19 +82,42 @@ def _trial_rng(seed: int, budget_index: int, trial_index: int) -> np.random.Gene
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _det_by_budget(fn, budget, mode, rng):
-    return integrate_deterministic(fn, max(1, round(budget ** (1.0 / fn.spec.d))))
+def _det(fn, ell):
+    return lambda rng: integrate_deterministic(fn, max(1, ell))
 
 
-def _det_by_eps(fn, eps1, mode, rng):
+def _det_by_eps(fn, eps1, mode):
     n = math.ceil(eps1 ** (-1.0 / fn.spec.gamma))
-    return integrate_deterministic(fn, max(1, math.ceil(n ** (1.0 / fn.spec.d))))
+    return _det(fn, math.ceil(n ** (1.0 / fn.spec.d)))
 
 
-def _quantum_by_budget(fn, budget, mode, rng):
+# Each sampler holds the only strong reference to its plan and hands every
+# trial a weak proxy, so whatever records a trial's call arguments (a
+# tracer, a benchmark's operation log) does not keep a row's interpolant
+# alive once the row's sampler is gone.
+
+
+def _mc(fn, samples, variance_reduced=False):
+    plan = plan_mc(fn, samples, variance_reduced)
+    return lambda rng: integrate_mc(
+        fn, samples, rng, variance_reduced=variance_reduced, plan=weakref.proxy(plan)
+    )
+
+
+def _coin(fn, eps1):
+    plan = plan_coin(fn, eps1)
+    return lambda rng: integrate_coin(fn, eps1, rng, plan=weakref.proxy(plan))
+
+
+def _quantum(fn, eps1, mode):
+    plan = plan_quantum(fn, eps1, mode)
+    return lambda rng: integrate_quantum(fn, eps1, rng, mode=mode, plan=weakref.proxy(plan))
+
+
+def _quantum_by_budget(fn, budget, mode):
     if budget < 16 or budget & (budget - 1):
         raise ConfigurationError(f"quantum budgets must be powers of two >= 16, got {budget}")
-    return integrate_quantum(fn, math.pi / budget + math.pi**2 / budget**2, rng, mode=mode)
+    return _quantum(fn, math.pi / budget + math.pi**2 / budget**2, mode)
 
 
 @dataclass(frozen=True)
@@ -98,11 +125,13 @@ class Method:
     """One method family, the single place its parameters are chosen.
 
     ``by_budget`` serves ``qintlab rates`` and ``by_eps`` serves ``qintlab
-    integrate``; both take ``(fn, budget or eps1, mode, rng)`` and the two
-    maps differ on purpose.  ``cost`` reads the ledger category the rate is
-    fitted on.  A method that is not randomized runs once per budget row.
-    Entries look the ``integrate_*`` functions up in this module at call
-    time, so rebinding them here reaches every caller.
+    integrate``; both take ``(fn, budget or eps1, mode)``, build the
+    method's trial-invariant plan once, and return the per-trial sampler
+    ``rng -> IntegrationResult``.  The two maps differ on purpose.
+    ``cost`` reads the ledger category the rate is fitted on.  A method
+    that is not randomized runs once per budget row.  Samplers look the
+    ``integrate_*`` functions up in this module at call time, once per
+    trial, so rebinding them here reaches every trial.
     """
 
     by_budget: Callable
@@ -112,27 +141,32 @@ class Method:
 
 
 METHODS = {
-    "det": Method(_det_by_budget, _det_by_eps, lambda led: led.classical_evals, randomized=False),
+    "det": Method(
+        lambda fn, budget, mode: _det(fn, round(budget ** (1.0 / fn.spec.d))),
+        _det_by_eps,
+        lambda led: led.classical_evals,
+        randomized=False,
+    ),
     "mc": Method(
-        lambda fn, budget, mode, rng: integrate_mc(fn, budget, rng),
-        lambda fn, eps1, mode, rng: integrate_mc(fn, math.ceil(eps1**-2), rng),
+        lambda fn, budget, mode: _mc(fn, budget),
+        lambda fn, eps1, mode: _mc(fn, math.ceil(eps1**-2)),
         lambda led: led.classical_evals,
     ),
     "mcvr": Method(
-        lambda fn, budget, mode, rng: integrate_mc(fn, max(1, budget // 2), rng, variance_reduced=True),
-        lambda fn, eps1, mode, rng: integrate_mc(
-            fn, math.ceil(eps1 ** (-2.0 / (1.0 + 2.0 * fn.spec.gamma))), rng, variance_reduced=True
+        lambda fn, budget, mode: _mc(fn, max(1, budget // 2), variance_reduced=True),
+        lambda fn, eps1, mode: _mc(
+            fn, math.ceil(eps1 ** (-2.0 / (1.0 + 2.0 * fn.spec.gamma))), variance_reduced=True
         ),
         lambda led: led.classical_evals,
     ),
     "coin": Method(
-        lambda fn, budget, mode, rng: integrate_coin(fn, min(0.49, budget**-0.5), rng),
-        lambda fn, eps1, mode, rng: integrate_coin(fn, eps1, rng),
+        lambda fn, budget, mode: _coin(fn, min(0.49, budget**-0.5)),
+        lambda fn, eps1, mode: _coin(fn, eps1),
         lambda led: led.classical_evals + led.random_bits,
     ),
     "quantum": Method(
         _quantum_by_budget,
-        lambda fn, eps1, mode, rng: integrate_quantum(fn, eps1, rng, mode=mode),
+        _quantum,
         lambda led: led.quantum_queries,
     ),
 }
@@ -151,7 +185,8 @@ def run_convergence(
 
     Deterministic given the seed: trial streams are split from
     (seed, budget index, trial index), so trial counts do not perturb each
-    other.  Methods that are not randomized run once per budget and
+    other.  Each row builds its method's plan once and samples every trial
+    from it.  Methods that are not randomized run once per budget and
     replicate the row.
     """
     if method not in METHODS:
@@ -179,11 +214,15 @@ def run_convergence(
         )
 
     runs = trials if entry.randomized else 1
-    rows = []
-    for bi, budget in enumerate(budgets):
-        results = [entry.by_budget(fn, budget, mode, _trial_rng(seed, bi, ti)) for ti in range(runs)]
+
+    def row(bi: int, budget: int) -> BudgetRow:
+        # One plan per row, released before the next row's plan is built.
+        sample = entry.by_budget(fn, budget, mode)
+        results = [sample(_trial_rng(seed, bi, ti)) for ti in range(runs)]
         records = [record(r) for r in results] * (trials // runs)
-        rows.append(BudgetRow(budget, entry.cost(results[0].ledger), records))
+        return BudgetRow(budget, entry.cost(results[0].ledger), records)
+
+    rows = [row(bi, budget) for bi, budget in enumerate(budgets)]
     return ConvergenceReport(
         method=method,
         d=spec.d,

@@ -8,11 +8,13 @@ import pytest
 from qintlab.amp_est import (
     MeanEstimate,
     RealOracle,
+    amplitude_law,
     estimate_mean,
     estimate_mean_from_amplitude,
     exact_estimate_distribution,
     exact_outcome_distribution,
     median_boost,
+    outcome_law,
     phase_estimation_distribution,
     prepared_state,
     sample_estimate_from_amplitude,
@@ -224,3 +226,32 @@ def test_sampling_helper_respects_distribution():
     rng = np.random.default_rng(123)
     draws = [sample_estimate_from_amplitude(0.5, 4, rng) for _ in range(50)]
     assert all(d == pytest.approx(0.5, abs=1e-12) for d in draws)
+
+
+@pytest.mark.parametrize("mode", ["exact", "analytic"])
+def test_one_law_serves_every_run(mode):
+    oracle = RealOracle(np.linspace(0.05, 0.8, 12))
+    law = outcome_law(oracle, 32, mode)
+    rng_runs, rng_law = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(20):
+        led_run, led_law = ResourceLedger(), ResourceLedger()
+        run = estimate_mean(oracle, 32, rng_runs, mode=mode, ledger=led_run)
+        drawn = law.draw(rng_law, led_law)
+        assert run == drawn
+        assert led_run.as_dict() == led_law.as_dict()
+
+
+def test_law_estimates_and_probabilities():
+    oracle = RealOracle(np.linspace(0.1, 0.9, 10))
+    exact = outcome_law(oracle, 16, "exact")
+    assert [float(e) for e in exact.estimates] == [math.sin(math.pi * y / 16) ** 2 for y in range(16)]
+    analytic = amplitude_law(oracle.padded_mean(), oracle.n, oracle.n_padded, 16)
+    assert analytic.estimates.size == 16 // 2 + 1
+    for law in (exact, analytic):
+        assert law.probs.min() >= 0.0
+        assert law.probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert (law.n, law.n_padded, law.M) == (10, 16, 16)
+    with pytest.raises(ValueError, match="padded count"):
+        amplitude_law(0.5, 10, 12, 16)
+    with pytest.raises(ValueError, match="power of two"):
+        amplitude_law(0.5, 10, 16, 12)

@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from qintlab import ratelab
+from qintlab import holder, ratelab
 from qintlab.cli import build_parser, main, parse_budgets
-from qintlab.holder import fooling_family, make_spec
+from qintlab.holder import HolderFunction, fooling_family, make_spec
 from qintlab.ratelab import ConfigurationError
 
 
@@ -124,3 +124,21 @@ def test_argparse_errors_exit_two():
     with pytest.raises(SystemExit) as info:
         main(["integrate", "--method", "warp", "--d", "1", "--eps1", "0.1"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["integrate", "--method", "mc", "--d", "1", "--eps1", "0.1"],
+        ["integrate", "--method", "coin", "--d", "1", "--eps1", "0.1"],
+        ["integrate", "--method", "det", "--d", "1", "--eps1", "0.1"],
+        ["rates", "--method", "mcvr", "--d", "1", "--budgets", "2^4..2^7", "--trials", "2"],
+    ],
+)
+def test_nan_valued_function_exits_two(monkeypatch, capsys, argv):
+    def nan_member(spec, name):
+        return HolderFunction(lambda p: np.full(len(p), np.nan), spec, exact_integral=0.0, name=name)
+
+    monkeypatch.setattr(holder, "suite_member", nan_member)
+    assert main(argv) == 2
+    assert "non-finite estimate" in capsys.readouterr().err

@@ -14,6 +14,9 @@ from qintlab.integrators import (
     integrate_deterministic,
     integrate_mc,
     integrate_quantum,
+    plan_coin,
+    plan_mc,
+    plan_quantum,
 )
 from qintlab.ledger import ResourceLedger
 from qintlab.quadrature import cell_midpoints, interpolate, residual
@@ -223,9 +226,10 @@ def test_quantum_example_square_function():
     # exact-simulation mode: n_padded * M stays under the auto threshold
     f = fn(lambda p: p[:, 0] ** 2, integral=1 / 3)
     eps1 = 2**-5
+    plan = plan_quantum(f, eps1)
     hits = 0
     for seed in range(200):
-        result = integrate_quantum(f, eps1, np.random.default_rng(seed))
+        result = integrate_quantum(f, eps1, np.random.default_rng(seed), plan=plan)
         assert result.parameters["sim"] == "exact"
         hits += abs(result.estimate - 1 / 3) <= 10 * eps1**2
     assert hits >= 150  # at least 3/4 of the trials
@@ -269,6 +273,113 @@ def test_quantum_eps_domain():
         integrate_quantum(f, 0.6, np.random.default_rng(0))
     with pytest.raises(ValueError):
         integrate_quantum(f, 0.1, np.random.default_rng(0), mode="neither")
+
+
+# ---------------------------------------------------------------------------
+# plans and samples
+# ---------------------------------------------------------------------------
+
+
+def _square():
+    return fn(lambda p: p[:, 0] ** 2, integral=1 / 3, name="square")
+
+
+# name -> (integrator, plan builder, function factory, budget argument, keywords)
+PLANNED = {
+    "quantum-exact": (integrate_quantum, plan_quantum, _square, 2**-5, {}),
+    "quantum-analytic": (integrate_quantum, plan_quantum, _square, 2**-5, {"sim": "analytic"}),
+    "quantum-auto-analytic": (
+        integrate_quantum, plan_quantum, lambda: suite_member(SPEC1, "multiscale"), 2**-8, {}
+    ),
+    "quantum-degenerate": (
+        integrate_quantum, plan_quantum, lambda: fn(lambda p: np.full(len(p), 0.25)), 0.1, {}
+    ),
+    "quantum-bit": (integrate_quantum, plan_quantum, _square, 2**-5, {"mode": "bit"}),
+    "quantum-d2": (
+        integrate_quantum, plan_quantum, lambda: suite_member(make_spec(2, 0, 1), "multiscale"), 0.06, {}
+    ),
+    "coin": (integrate_coin, plan_coin, lambda: suite_member(SPEC1, "multiscale"), 2**-4, {}),
+    "mcvr": (
+        integrate_mc, plan_mc, lambda: suite_member(SPEC1, "multiscale"), 300, {"variance_reduced": True}
+    ),
+    "mc": (integrate_mc, plan_mc, lambda: suite_member(SPEC1, "multiscale"), 300, {}),
+}
+
+
+@pytest.mark.parametrize("case", list(PLANNED))
+def test_planned_trials_match_planless_calls(case):
+    integrate, build, make_f, arg, kwargs = PLANNED[case]
+    f = make_f()
+    plan = build(f, arg, **kwargs)
+    for seed in range(4):
+        planless = integrate(f, arg, np.random.default_rng(seed), **kwargs)
+        planned = integrate(f, arg, np.random.default_rng(seed), plan=plan, **kwargs)
+        assert planned.estimate == planless.estimate
+        assert planned.ledger.as_dict() == planless.ledger.as_dict()
+        assert planned.parameters == planless.parameters
+        assert planned.ledger.classical_evals >= planned.parameters.get("n_points", 0)
+    if case.startswith("quantum"):
+        expected_sim = {"quantum-exact": "exact", "quantum-d2": "exact", "quantum-degenerate": None}
+        assert planned.parameters.get("sim") == expected_sim.get(case, "analytic")
+
+
+def test_seeded_estimates_are_pinned():
+    # Values of the unsplit integrators; the plan/sample split keeps them bit-identical.
+    square, multiscale = _square(), suite_member(SPEC1, "multiscale")
+    rng = np.random.default_rng
+    assert integrate_quantum(square, 2**-5, rng(7)).estimate == 0.3321040757203434
+    assert integrate_quantum(multiscale, 2**-8, rng(7)).estimate == 0.05696125288643417
+    assert integrate_quantum(square, 2**-5, rng(7), mode="bit").estimate == 0.33329841146869893
+    assert integrate_coin(multiscale, 2**-4, rng(7)).estimate == 0.05696278729296716
+    assert integrate_mc(multiscale, 300, rng(7), variance_reduced=True).estimate == 0.05691374839810475
+
+
+def test_plan_must_match_the_call():
+    f, other = _square(), _square()
+    plan = plan_quantum(f, 2**-5)
+    rng = np.random.default_rng(0)
+    calls = [
+        lambda: integrate_quantum(f, 2**-4, rng, plan=plan),
+        lambda: integrate_quantum(other, 2**-5, rng, plan=plan),
+        lambda: integrate_quantum(f, 2**-5, rng, mode="bit", plan=plan),
+        lambda: integrate_quantum(f, 2**-5, rng, sim="exact", plan=plan),
+        lambda: integrate_coin(f, 2**-5, rng, plan=plan),
+        lambda: integrate_mc(f, 32, rng, plan=plan_mc(f, 32, variance_reduced=True)),
+        lambda: integrate_mc(f, 64, rng, variance_reduced=True, plan=plan_mc(f, 32, variance_reduced=True)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="plan built for"):
+            call()
+
+
+def test_shared_ledger_is_charged_the_plan_on_every_trial():
+    f = suite_member(SPEC1, "multiscale")
+    plan = plan_coin(f, 2**-4)
+    ledger = ResourceLedger()
+    runs = [integrate_coin(f, 2**-4, np.random.default_rng(s), ledger=ledger, plan=plan) for s in range(3)]
+    p = runs[0].parameters
+    assert ledger.classical_evals == 3 * (p["n_points"] + p["draws"])
+    assert ledger.random_bits == p["bits_per_attempt"] * sum(r.parameters["draw_attempts"] for r in runs)
+    assert plan.charges.as_dict() == {"classical_evals": p["n_points"], "quantum_queries": 0,
+                                      "random_bits": 0, "gates": 0}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda f: integrate_mc(f, 100, np.random.default_rng(0)),
+        lambda f: integrate_mc(f, 100, np.random.default_rng(0), variance_reduced=True),
+        lambda f: integrate_coin(f, 0.1, np.random.default_rng(0)),
+        lambda f: integrate_deterministic(f, 8),
+    ],
+    ids=["mc", "mcvr", "coin", "det"],
+)
+def test_classical_methods_reject_non_finite_functions(run, value):
+    f = fn(lambda p: np.full(len(p), value), integral=0.0, name="broken")
+    with pytest.raises(ValueError, match="broken gave a non-finite estimate"):
+        run(f)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Experiment harness: sweeps, fits, serialisation, reproducibility."""
 
+import gc
+
 import numpy as np
 import pytest
 
+from qintlab import integrators, ratelab
 from qintlab.holder import HolderFunction, make_spec, suite_member
 from qintlab.ratelab import (
     BudgetRow,
@@ -200,3 +203,67 @@ def test_export_unwritable_path_mentions_path():
     report = run_convergence("det", SPEC1, [4, 8], trials=1, seed=0, fn=f)
     with pytest.raises(OSError, match="/nonexistent/dir/out.csv"):
         export(report, "csv", "/nonexistent/dir/out.csv")
+
+
+def test_run_convergence_plans_once_per_row(monkeypatch):
+    calls = []
+    original = integrators.interpolate
+
+    def counting(f, n_target, ledger=None):
+        calls.append(n_target)
+        return original(f, n_target, ledger)
+
+    monkeypatch.setattr(integrators, "interpolate", counting)
+    f = suite_member(SPEC1, "multiscale")
+    for method in ("mcvr", "coin", "quantum"):
+        calls.clear()
+        report = run_convergence(method, SPEC1, [64, 128, 256], trials=4, seed=2, fn=f)
+        assert [len(row.trials) for row in report.rows] == [4, 4, 4]
+        assert len(calls) == 3, method
+
+
+@pytest.mark.parametrize("method", ["mcvr", "coin", "quantum"])
+def test_every_trial_is_charged_the_projection(method):
+    f = suite_member(SPEC1, "multiscale")
+    sample = METHODS[method].by_budget(f, 256, "query")
+    results = [sample(np.random.default_rng(seed)) for seed in range(4)]
+    assert len({id(r.ledger) for r in results}) == len(results)
+    for r in results:
+        per_trial = {"mcvr": "samples", "coin": "draws"}.get(method)
+        sampled = r.parameters[per_trial] if per_trial else 0
+        assert r.ledger.classical_evals == r.parameters["n_points"] + sampled > sampled
+
+
+@pytest.mark.parametrize("method", ["mc", "mcvr", "coin", "quantum"])
+def test_trial_parameters_do_not_leak_between_trials(method):
+    f = suite_member(SPEC1, "multiscale")
+    sample = METHODS[method].by_eps(f, 2**-5, "query")
+    first = sample(np.random.default_rng(0))
+    kept = dict(first.parameters)
+    first.parameters.clear()
+    first.parameters["method"] = "tampered"
+    second = sample(np.random.default_rng(0))
+    assert second.parameters == kept
+    assert second.estimate == first.estimate
+
+
+@pytest.mark.parametrize("method", ["mcvr", "coin", "quantum"])
+def test_recorded_trial_arguments_do_not_keep_the_plan_alive(monkeypatch, method):
+    name = {"mcvr": "integrate_mc", "coin": "integrate_coin", "quantum": "integrate_quantum"}[method]
+    original = getattr(ratelab, name)
+    recorded = []
+
+    def recording(*args, **kwargs):
+        recorded.append(kwargs["plan"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ratelab, name, recording)
+    f = suite_member(SPEC1, "multiscale")
+    sample = METHODS[method].by_budget(f, 256, "query")
+    first, second = sample(np.random.default_rng(0)), sample(np.random.default_rng(0))
+    assert first.estimate == second.estimate
+    assert recorded[0].parameters.items() <= first.parameters.items()
+    del sample
+    gc.collect()
+    with pytest.raises(ReferenceError):
+        recorded[0].parameters
