@@ -11,11 +11,16 @@ M = 2**t, and the folded estimate sin(pi*y/M)**2.  A single run satisfies
 with probability at least 8/pi**2, at a cost of M oracle queries
 (M - 1 amplification steps plus one preparation).
 
-Two execution paths produce the same outcome law: a full state-vector
-simulation of the (t + m + 1)-qubit circuit, and direct sampling from the
-closed-form phase-measurement distribution.  The first is ground truth for
-small registers, the second stays cheap when the register would not fit.
-Either law is built once as an ``OutcomeLaw``; a run is one draw from it.
+Two execution paths produce the same outcome law: a simulation of the
+(t + m + 1)-qubit circuit, and direct sampling from the closed-form
+phase-measurement distribution.  The simulation applies the amplification
+operator M - 1 times to the prepared state and records the overlaps of the
+iterates with it; because the operator is real orthogonal, those overlaps
+fix the whole Gram matrix of the iterates and with it the law of the
+phase readout, so the t-qubit phase register is never stored and memory
+stays O(n).  The simulated law is ground truth for small registers, the
+closed form stays cheap when the simulation would not.  Either law is built
+once as an ``OutcomeLaw``; a run is one draw from it.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ from .qsim import QuantumState
 SINGLE_RUN_CONFIDENCE = 8.0 / math.pi**2
 
 # Largest (padded item count) * (Grover power budget) still simulated exactly
-# when the execution mode is left on "auto".
+# when the execution mode is left on "auto"; the simulation's time grows
+# with that product.
 AUTO_EXACT_LIMIT = 2**20
 
 
@@ -88,7 +94,8 @@ def prepared_state(oracle: RealOracle) -> QuantumState:
 
 
 def _prepared_amplitudes(oracle: RealOracle) -> np.ndarray:
-    amps = np.empty(2 * oracle.n_padded, dtype=np.complex128)
+    """The prepared state's amplitudes, all real and non-negative."""
+    amps = np.empty(2 * oracle.n_padded)
     amps[0::2] = np.sqrt(oracle.padded_values / oracle.n_padded)
     amps[1::2] = np.sqrt((1.0 - oracle.padded_values) / oracle.n_padded)
     return amps
@@ -98,14 +105,15 @@ def _amplifier(oracle: RealOracle) -> tuple[np.ndarray, Callable[[np.ndarray], n
     """Initial vector and one application of the amplification operator.
 
     The operator is the reflection about the prepared state composed with
-    the sign flip on the good (ancilla e_0) subspace; it acts in O(dim).
+    the sign flip on the good (ancilla e_0) subspace; it is real orthogonal
+    and acts in O(dim).
     """
     psi = _prepared_amplitudes(oracle)
 
     def apply(vec: np.ndarray) -> np.ndarray:
         w = vec.copy()
         w[0::2] *= -1.0
-        return 2.0 * (psi.conj() @ w) * psi - w
+        return 2.0 * (psi @ w) * psi - w
 
     return psi, apply
 
@@ -118,18 +126,31 @@ def _log2_power_of_two(M: int) -> int:
 
 
 def exact_outcome_distribution(oracle: RealOracle, M: int) -> np.ndarray:
-    """Distribution of the raw phase readout y from the full simulation."""
+    """Distribution of the raw phase readout y from the simulated circuit.
+
+    The circuit's phase register holds the iterates Q^j psi, j < M, and the
+    readout is its inverse Fourier transform, so P(y) is a quadratic form in
+    the iterates' Gram matrix.  Q is real orthogonal, so that matrix is the
+    Toeplitz matrix of the overlaps c_D = <psi, Q^D psi>, and
+
+        P(y) = M**-2 * Re FFT(s)[y],  s_0 = M*c_0,
+        s_D = (M - D)*c_D + D*c_(M-D) for D >= 1.
+
+    The M - 1 applications of Q run on one real vector: memory is O(n),
+    time O(n*M) plus one length-M FFT.
+    """
     _log2_power_of_two(M)
     psi, apply = _amplifier(oracle)
-    dim = psi.size
-    register = np.empty((M, dim), dtype=np.complex128)
-    vec = psi / math.sqrt(M)
-    for y in range(M):
-        register[y] = vec
-        if y + 1 < M:
+    overlaps = np.empty(M)
+    vec = psi
+    for j in range(M):
+        overlaps[j] = psi @ vec
+        if j + 1 < M:
             vec = apply(vec)
-    transformed = np.fft.fft(register, axis=0) / math.sqrt(M)
-    return (np.abs(transformed) ** 2).sum(axis=1)
+    lag = np.arange(M)
+    weights = (M - lag) * overlaps
+    weights[1:] += lag[1:] * overlaps[:0:-1]
+    return np.fft.fft(weights).real / M**2
 
 
 def _phase_kernel(delta: np.ndarray, M: int) -> np.ndarray:
@@ -170,7 +191,7 @@ def phase_estimation_distribution(a: float, M: int) -> tuple[np.ndarray, np.ndar
 
 
 def exact_estimate_distribution(oracle: RealOracle, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Folded estimate law from the full simulation, for cross-validation."""
+    """Folded estimate law from the simulated circuit, for cross-validation."""
     return _fold(exact_outcome_distribution(oracle, M), M)
 
 
@@ -229,9 +250,9 @@ def amplitude_law(a_padded: float, n: int, n_padded: int, M: int) -> OutcomeLaw:
 def outcome_law(oracle: RealOracle, M: int, mode: str = "auto") -> OutcomeLaw:
     """The law ``estimate_mean`` draws from.
 
-    "exact" takes the law of the raw readout y from the full register
-    simulation, "analytic" the closed-form law of the folded estimate, and
-    "auto" is exact while the register stays small.
+    "exact" takes the law of the raw readout y from the simulated circuit
+    (``exact_outcome_distribution``), "analytic" the closed-form law of the
+    folded estimate, and "auto" is exact while the register stays small.
     """
     _log2_power_of_two(M)
     if mode not in ("auto", "exact", "analytic"):
@@ -280,7 +301,7 @@ def estimate_mean(
 ) -> MeanEstimate:
     """One estimation run with a Grover-power budget of M = 2**t.
 
-    ``mode`` is "exact" (full register simulation), "analytic" (sample the
+    ``mode`` is "exact" (simulated circuit), "analytic" (sample the
     closed-form law), or "auto" (exact while the register stays small).
     Estimates for padded oracles are rescaled by n_padded / n and clipped
     to [0, 1].

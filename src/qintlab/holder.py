@@ -281,13 +281,7 @@ def _raw_members(spec: HolderClassSpec) -> list[tuple[Callable, float, str]]:
     ]
 
 
-def test_suite(spec: HolderClassSpec, resolution: int | None = None) -> list[HolderFunction]:
-    """Benchmark members with closed-form integrals, rescaled into the class.
-
-    The scale factor is margin / max(measured quotient, measured sup) but
-    never above one, so a function whose true constant exceeds the sampled
-    estimate is not pushed out of the class.
-    """
+def _raw_suite(spec: HolderClassSpec) -> list[HolderFunction]:
     raws = [
         HolderFunction(evaluator, spec, exact_integral=integral, name=name)
         for evaluator, integral, name in _raw_members(spec)
@@ -295,12 +289,22 @@ def test_suite(spec: HolderClassSpec, resolution: int | None = None) -> list[Hol
     if spec.k == 0:
         raws.append(multiscale_function(spec))
         raws.append(multiscale_function(spec, base=3))
-    members = []
-    for raw in raws:
-        quotient, sup = measure_constants(raw, resolution)
-        scale = min(1.0, _SUITE_MARGIN / max(quotient, sup, 1e-12))
-        members.append(_scaled(raw, scale))
-    return members
+    return raws
+
+
+def _fit_into_class(raw: HolderFunction, resolution: int | None) -> HolderFunction:
+    quotient, sup = measure_constants(raw, resolution)
+    return _scaled(raw, min(1.0, _SUITE_MARGIN / max(quotient, sup, 1e-12)))
+
+
+def test_suite(spec: HolderClassSpec, resolution: int | None = None) -> list[HolderFunction]:
+    """Benchmark members with closed-form integrals, rescaled into the class.
+
+    The scale factor is margin / max(measured quotient, measured sup) but
+    never above one, so a function whose true constant exceeds the sampled
+    estimate is not pushed out of the class.
+    """
+    return [_fit_into_class(raw, resolution) for raw in _raw_suite(spec)]
 
 
 def _scaled(f: HolderFunction, scale: float) -> HolderFunction:
@@ -316,9 +320,10 @@ def _scaled(f: HolderFunction, scale: float) -> HolderFunction:
 
 
 def suite_member(spec: HolderClassSpec, name: str) -> HolderFunction:
-    for member in test_suite(spec):
-        if member.name == name:
-            return member
+    """The named ``test_suite`` member; only that member's constants are measured."""
+    for raw in _raw_suite(spec):
+        if raw.name == name:
+            return _fit_into_class(raw, None)
     raise KeyError(f"no suite member named {name!r} for {spec}")
 
 

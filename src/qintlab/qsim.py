@@ -108,29 +108,43 @@ def basis_state(m: int, index: int) -> QuantumState:
     return QuantumState(m, amps)
 
 
+def _apply_matrix(amps: np.ndarray, m: int, matrix: np.ndarray, axes: list[int]) -> np.ndarray:
+    """``matrix`` on the given 0-based qubit axes of a flat amplitude vector."""
+    psi = np.moveaxis(amps.reshape([2] * m), axes, range(len(axes)))
+    moved_shape = psi.shape
+    flat = matrix @ psi.reshape(2 ** len(axes), -1)
+    return np.moveaxis(flat.reshape(moved_shape), range(len(axes)), axes).reshape(-1)
+
+
 def apply_local_unitary(
     state: QuantumState, u: LocalUnitary, ledger: ResourceLedger | None = None
 ) -> QuantumState:
     """Apply a one- or two-qubit unitary, identity on the remaining qubits."""
     if any(t > state.m for t in u.targets):
         raise ValueError(f"targets {u.targets} exceed register size m={state.m}")
-    axes = [t - 1 for t in u.targets]
-    psi = state.amplitudes.reshape([2] * state.m)
-    psi = np.moveaxis(psi, axes, range(len(axes)))
-    moved_shape = psi.shape
-    flat = psi.reshape(2 ** len(axes), -1)
-    flat = u.matrix @ flat
-    psi = np.moveaxis(flat.reshape(moved_shape), range(len(axes)), axes)
+    amps = _apply_matrix(state.amplitudes, state.m, u.matrix, [t - 1 for t in u.targets])
     if ledger is not None:
         ledger.gates += 1
-    return QuantumState(state.m, psi.reshape(-1))
+    return QuantumState(state.m, amps)
+
+
+# Validated once; every Walsh-Hadamard layer applies its matrix.
+_HADAMARD_GATE = LocalUnitary(HADAMARD, (1,))
 
 
 def walsh_hadamard_all(state: QuantumState, ledger: ResourceLedger | None = None) -> QuantumState:
-    """Hadamard on every qubit; charged as m single-qubit gates."""
-    for q in range(1, state.m + 1):
-        state = apply_local_unitary(state, LocalUnitary(HADAMARD, (q,)), ledger)
-    return state
+    """Hadamard on every qubit; charged as m single-qubit gates.
+
+    Each qubit gets the same product as ``apply_local_unitary`` with the
+    Hadamard gate, so the amplitudes match that chain bit for bit; the norm
+    is checked once for the whole layer.
+    """
+    amps = state.amplitudes
+    for axis in range(state.m):
+        amps = _apply_matrix(amps, state.m, _HADAMARD_GATE.matrix, [axis])
+    if ledger is not None:
+        ledger.gates += state.m
+    return QuantumState(state.m, amps)
 
 
 def probability_vector(state: QuantumState) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Experiment harness: budget sweeps, rate fits, and report serialisation.
 
-A convergence report holds, per requested budget, the measured budget (read
-off the ledger category that matches the method's cost notion) and the
-absolute error of every trial.  The fitted rate is the least-squares slope
-of log median error against log measured budget; its confidence interval
-comes from a nonparametric bootstrap over trials, because rows are
-deterministic given the budget and the trials carry all the randomness.
+A convergence report holds, per requested budget, the measured budget (the
+trials' median of the ledger category that matches the method's cost
+notion) and the absolute error of every trial.  The fitted rate is the
+least-squares slope of log median error against log measured budget; its
+confidence interval comes from a nonparametric bootstrap over trials,
+because rows are deterministic given the budget and the trials carry all
+the randomness.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import statistics
 import warnings
 import weakref
 from collections.abc import Callable
@@ -187,7 +189,9 @@ def run_convergence(
     (seed, budget index, trial index), so trial counts do not perturb each
     other.  Each row builds its method's plan once and samples every trial
     from it.  Methods that are not randomized run once per budget and
-    replicate the row.
+    replicate the row.  A row's budget is the lower median of its trials'
+    costs, so it stays one trial's measured integer cost when the costs
+    vary (coin rejection draws a varying number of bits).
     """
     if method not in METHODS:
         raise ConfigurationError(f"method must be one of {tuple(METHODS)}, got {method!r}")
@@ -220,7 +224,8 @@ def run_convergence(
         sample = entry.by_budget(fn, budget, mode)
         results = [sample(_trial_rng(seed, bi, ti)) for ti in range(runs)]
         records = [record(r) for r in results] * (trials // runs)
-        return BudgetRow(budget, entry.cost(results[0].ledger), records)
+        budget_used = statistics.median_low(entry.cost(r.ledger) for r in results)
+        return BudgetRow(budget, budget_used, records)
 
     rows = [row(bi, budget) for bi, budget in enumerate(budgets)]
     return ConvergenceReport(

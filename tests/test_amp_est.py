@@ -115,6 +115,30 @@ def test_exact_simulation_matches_analytic_law():
             assert 0.5 * np.abs(exact - analytic).sum() <= 1e-10
 
 
+def register_reference(oracle, M):
+    """Readout law with the phase register stored: all M iterates Q^y psi in
+    an (M, 2n) array, Fourier transformed along the register axis."""
+    psi = np.empty(2 * oracle.n_padded, dtype=np.complex128)
+    psi[0::2] = np.sqrt(oracle.padded_values / oracle.n_padded)
+    psi[1::2] = np.sqrt((1.0 - oracle.padded_values) / oracle.n_padded)
+    register = np.empty((M, psi.size), dtype=np.complex128)
+    vec = psi / math.sqrt(M)
+    for y in range(M):
+        register[y] = vec
+        flipped = vec.copy()
+        flipped[0::2] *= -1.0
+        vec = 2.0 * (psi.conj() @ flipped) * psi - flipped
+    return (np.abs(np.fft.fft(register, axis=0) / math.sqrt(M)) ** 2).sum(axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 64, 300])
+def test_exact_law_matches_the_stored_register(n):
+    oracle = RealOracle(np.random.default_rng(n).random(n))
+    for M in (2, 4, 8, 16, 32, 64, 128, 256):
+        law = exact_outcome_distribution(oracle, M)
+        assert np.max(np.abs(law - register_reference(oracle, M))) <= 1e-13, M
+
+
 def test_exact_mode_empirical_frequencies_match_analytic():
     rng = np.random.default_rng(21)
     oracle = RealOracle(rng.random(64))

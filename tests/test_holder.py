@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qintlab import holder
 from qintlab.holder import test_suite as benchmark_suite
 from qintlab.holder import (
     HolderFunction,
@@ -57,6 +58,25 @@ def test_suite_members_have_integrals_and_pass_membership(params):
         assert member.exact_integral is not None
         resolution = 64 if spec.d <= 3 else None
         assert verify_membership(member, resolution=resolution).passed, member.name
+
+
+@pytest.mark.parametrize("params", [(1, 0, 1.0), (2, 0, 0.5), (1, 1, 1.0)])
+def test_suite_member_measures_only_the_named_member(params, monkeypatch):
+    spec = make_spec(*params)
+    points = np.random.default_rng(0).random((200, spec.d))
+    measured = []
+    original = holder.measure_constants
+    monkeypatch.setattr(
+        holder, "measure_constants", lambda f, res=None: measured.append(f.name) or original(f, res)
+    )
+    for member in benchmark_suite(spec):
+        measured.clear()
+        alone = suite_member(spec, member.name)
+        assert measured == [member.name]
+        assert alone.exact_integral == member.exact_integral
+        assert alone(points).tobytes() == member(points).tobytes()
+    with pytest.raises(KeyError):
+        suite_member(spec, "no-such-member")
 
 
 @pytest.mark.parametrize("params", [(1, 0, 1.0), (2, 0, 1.0), (1, 1, 1.0), (1, 0, 0.5)])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qintlab import integrators
 from qintlab.amp_est import RealOracle, exact_estimate_distribution, phase_estimation_distribution
 from qintlab.holder import HolderFunction, adversarial_signs, fooling_family, make_spec, suite_member
 from qintlab.integrators import (
@@ -19,7 +20,7 @@ from qintlab.integrators import (
     plan_quantum,
 )
 from qintlab.ledger import ResourceLedger
-from qintlab.quadrature import cell_midpoints, interpolate, residual
+from qintlab.quadrature import CHUNK, cell_midpoints, interpolate, residual
 
 SPEC1 = make_spec(1, 0, 1)
 
@@ -332,6 +333,20 @@ def test_seeded_estimates_are_pinned():
     assert integrate_quantum(square, 2**-5, rng(7), mode="bit").estimate == 0.33329841146869893
     assert integrate_coin(multiscale, 2**-4, rng(7)).estimate == 0.05696278729296716
     assert integrate_mc(multiscale, 300, rng(7), variance_reduced=True).estimate == 0.05691374839810475
+
+
+@pytest.mark.parametrize(
+    "params, name, eps1, sim",
+    [((1, 0, 1.0), "multiscale", 2**-8, "analytic"), ((2, 1, 0.5), "quadratic", 2**-4, "exact")],
+)
+def test_blocked_residual_stream_matches_whole_chunk_evaluation(monkeypatch, params, name, eps1, sim):
+    f = suite_member(make_spec(*params), name)
+    blocked = plan_quantum(f, eps1, sim=sim)
+    assert blocked.parameters["N"] > integrators._BLOCK
+    monkeypatch.setattr(integrators, "_BLOCK", CHUNK)
+    whole = plan_quantum(f, eps1, sim=sim)
+    assert blocked.parameters == whole.parameters
+    assert blocked.law.probs.tobytes() == whole.law.probs.tobytes()
 
 
 def test_plan_must_match_the_call():

@@ -173,3 +173,15 @@ def test_gate_and_measurement_accounting():
     assert ledger.gates == 3
     measure(state, np.random.default_rng(0), ledger)
     assert ledger.random_bits == 3
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_walsh_hadamard_layer_matches_the_gate_chain(m):
+    state = random_state(m, np.random.default_rng(m))
+    chain = state
+    for q in range(1, m + 1):
+        chain = apply_local_unitary(chain, LocalUnitary(HADAMARD, (q,)))
+    ledger = ResourceLedger()
+    layer = walsh_hadamard_all(state, ledger)
+    assert layer.amplitudes.tobytes() == chain.amplitudes.tobytes()
+    assert ledger == ResourceLedger(gates=m)
