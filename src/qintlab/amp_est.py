@@ -42,6 +42,16 @@ SINGLE_RUN_CONFIDENCE = 8.0 / math.pi**2
 AUTO_EXACT_LIMIT = 2**20
 
 
+def simulates(n_padded: int, M: int) -> bool:
+    """The size rule of "auto": simulate the circuit while n_padded * M stays small."""
+    return n_padded * M <= AUTO_EXACT_LIMIT
+
+
+def error_bound(M: int) -> float:
+    """Worst-case single-run error bound with M queries, pi/M + pi**2/M**2 (at a = 1/2)."""
+    return math.pi / M + math.pi**2 / M**2
+
+
 @dataclass(frozen=True)
 class MeanEstimate:
     """Result of one mean-estimation run (or a boosted median of runs)."""
@@ -252,13 +262,13 @@ def outcome_law(oracle: RealOracle, M: int, mode: str = "auto") -> OutcomeLaw:
 
     "exact" takes the law of the raw readout y from the simulated circuit
     (``exact_outcome_distribution``), "analytic" the closed-form law of the
-    folded estimate, and "auto" is exact while the register stays small.
+    folded estimate, and "auto" is exact while ``simulates(n_padded, M)``.
     """
     _log2_power_of_two(M)
     if mode not in ("auto", "exact", "analytic"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto":
-        mode = "exact" if oracle.n_padded * M <= AUTO_EXACT_LIMIT else "analytic"
+        mode = "exact" if simulates(oracle.n_padded, M) else "analytic"
     if mode == "analytic":
         return amplitude_law(oracle.padded_mean(), oracle.n, oracle.n_padded, M)
     probs = exact_outcome_distribution(oracle, M)
@@ -266,13 +276,6 @@ def outcome_law(oracle: RealOracle, M: int, mode: str = "auto") -> OutcomeLaw:
     return OutcomeLaw(
         estimates, np.clip(probs, 0.0, None) / probs.sum(), M, oracle.n, oracle.n_padded, "exact"
     )
-
-
-def sample_estimate_from_amplitude(
-    a: float, M: int, rng: np.random.Generator
-) -> float:
-    """Draw one folded estimate for a known amplitude."""
-    return amplitude_law(a, 1, 1, M).draw(rng).value
 
 
 def estimate_mean_from_amplitude(
@@ -302,7 +305,7 @@ def estimate_mean(
     """One estimation run with a Grover-power budget of M = 2**t.
 
     ``mode`` is "exact" (simulated circuit), "analytic" (sample the
-    closed-form law), or "auto" (exact while the register stays small).
+    closed-form law), or "auto" (exact while ``simulates(n_padded, M)``).
     Estimates for padded oracles are rescaled by n_padded / n and clipped
     to [0, 1].
     """
@@ -310,14 +313,11 @@ def estimate_mean(
 
 
 def smallest_power_for_error(eps: float) -> int:
-    """Smallest M = 2**t whose worst-case single-run error bound is <= eps.
-
-    The bound at a = 1/2 is pi/M + pi**2/M**2, so M grows linearly in 1/eps.
-    """
+    """Smallest M = 2**t whose ``error_bound`` is <= eps; M grows linearly in 1/eps."""
     if eps <= 0:
         raise ValueError("target error must be positive")
     M = 2
-    while math.pi / M + math.pi**2 / M**2 > eps * (1.0 + 1e-12):
+    while error_bound(M) > eps * (1.0 + 1e-12):
         M *= 2
     return M
 

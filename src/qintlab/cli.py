@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -36,7 +37,10 @@ def parse_budgets(text: str) -> list[int]:
             budgets.append(b)
             b *= 2
         return budgets
-    return [_parse_budget_token(tok) for tok in text.split(",")]
+    budgets = [_parse_budget_token(tok) for tok in text.split(",")]
+    if min(budgets) < 1:
+        raise ratelab.ConfigurationError(f"budgets must be at least 1, got {text!r}")
+    return budgets
 
 
 def _pick_function(args, spec) -> holder.HolderFunction:
@@ -62,7 +66,13 @@ def cmd_grover(args) -> int:
     return 0
 
 
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise ratelab.ConfigurationError("need at least one trial")
+
+
 def cmd_mean(args) -> int:
+    _require_trials(args.trials)
     rng = _rng(args.seed)
     if args.dist == "const":
         values = np.full(args.n, 0.5)
@@ -108,6 +118,24 @@ def cmd_fool(args) -> int:
 
 
 def cmd_integrate(args) -> int:
+    _require_trials(args.trials)
+    if not 0.0 < args.eps1 < math.inf:
+        raise ratelab.ConfigurationError(f"--eps1 must be positive and finite, got {args.eps1}")
+    if args.method == "rand-quantum" and not 0.0 <= args.p <= 1.0:
+        raise ratelab.ConfigurationError(f"--p must lie in [0, 1], got {args.p}")
+    try:
+        rows = _integrate_rows(args)
+    except (OverflowError, ZeroDivisionError) as exc:
+        # Sizes grow like powers of 1/eps1; far below any usable precision
+        # they overflow, or the powers of eps1 underflow to zero.
+        raise ratelab.ConfigurationError(
+            f"--eps1 {args.eps1} is too small: the sizes it asks for do not fit ({exc})"
+        ) from exc
+    _emit_rows(rows, args.out, args.format)
+    return 0
+
+
+def _integrate_rows(args) -> list[dict]:
     spec = make_spec(args.d, args.k, args.alpha)
     rows = []
     if args.method == "rand-quantum":
@@ -131,8 +159,7 @@ def cmd_integrate(args) -> int:
             if fn.exact_integral is not None:
                 row["error"] = abs(result.estimate - fn.exact_integral)
             rows.append(row)
-    _emit_rows(rows, args.out, args.format)
-    return 0
+    return rows
 
 
 def _emit_rows(rows, out_path, fmt) -> None:

@@ -12,7 +12,9 @@ Each randomized method is split into a plan and a sample.  ``plan_mc``,
 ``plan_coin`` and ``plan_quantum`` do the work that does not depend on the
 random stream: the projection, and for the quantum method the sup probe,
 the residual stream over the coupled grid and the outcome law of the
-estimation register.  ``integrate_mc``, ``integrate_coin`` and
+estimation register.  That law is the simulated circuit's or the closed
+form, as ``amp_est.simulates`` decides from the register size; no argument
+overrides it.  ``integrate_mc``, ``integrate_coin`` and
 ``integrate_quantum`` sample one trial from a plan: the random draws, the
 residual values they select, and the ledger charges.  Every trial's ledger
 is charged the plan's classical evaluations, because each trial stands for
@@ -36,8 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import amp_est
-# estimate_mean_from_amplitude is not called here, but bench/tracing.py
-# instruments it, like the quadrature names below, in this module by name.
+# estimate_mean and estimate_mean_from_amplitude are not called here, but
+# bench/tracing.py instruments them, like the quadrature names below, in this
+# module by name.
 from .amp_est import RealOracle, estimate_mean, estimate_mean_from_amplitude, median_boost  # noqa: F401
 from .holder import HolderClassSpec, HolderFunction
 from .ledger import ResourceLedger
@@ -78,12 +81,6 @@ class CoinStream:
         self.bits_drawn += bits
         if self.ledger is not None:
             self.ledger.random_bits += bits
-
-    def draw_bits(self, n_bits: int) -> int:
-        """One integer assembled from n_bits coin flips."""
-        value = int(self.rng.integers(0, 2**n_bits))
-        self._count(n_bits)
-        return value
 
     def draw_indices(self, n_outcomes: int, count: int) -> tuple[np.ndarray, int]:
         """count uniform indices below n_outcomes; returns (indices, attempts).
@@ -303,21 +300,20 @@ def _scaled_residual_amplitude(g, bound, n_nodes, n_padded, ell_n, d, keep):
     return scaled_sum / n_padded, raw_sum / n_nodes, clipped, values
 
 
-def plan_quantum(f: HolderFunction, eps1: float, mode: str = "query", sim: str = "auto") -> Plan:
+def plan_quantum(f: HolderFunction, eps1: float, mode: str = "query") -> Plan:
     """Quantum plan: projection, sup probe, residual stream and outcome law.
 
-    ``sim="exact"`` loads the streamed values into a register oracle and
-    takes the law from the simulated circuit; "analytic" takes the closed-form
-    law of the streamed amplitude; "auto" is exact while the register stays
-    small.  A residual that probes to zero gives a degenerate plan, no law.
+    While ``amp_est.simulates(n_padded, M)``, the streamed values are loaded
+    into a register oracle and the law comes from the simulated circuit;
+    otherwise it is the closed-form law of the streamed amplitude.
+    ``parameters["sim"]`` names the path taken.  A residual that probes to
+    zero gives a degenerate plan, no law.
     """
     if not 0.0 < eps1 < 0.5:
         raise ValueError(f"eps1 must lie in (0, 1/2), got {eps1}")
     if mode not in ("query", "bit"):
         raise ValueError(f"mode must be 'query' or 'bit', got {mode!r}")
-    if sim not in ("auto", "exact", "analytic"):
-        raise ValueError(f"sim must be 'auto', 'exact' or 'analytic', got {sim!r}")
-    key = ("quantum", f, eps1, mode, sim)
+    key = ("quantum", f, eps1, mode)
     spec = f.spec
     charges = ResourceLedger()
     inv = 1.0 / eps1
@@ -343,12 +339,11 @@ def plan_quantum(f: HolderFunction, eps1: float, mode: str = "query", sim: str =
     n_nodes, ell_n, beta = _coupled_grid(spec, proj.n_points, eps1)
     power = amp_est.smallest_power_for_error(eps1)
     n_padded = 1 << max(0, (n_nodes - 1).bit_length())
-    if sim == "auto":
-        sim = "exact" if n_padded * power <= amp_est.AUTO_EXACT_LIMIT else "analytic"
+    exact = amp_est.simulates(n_padded, power)
     a_padded, residual_midpoint, clipped, values = _scaled_residual_amplitude(
-        g, bound, n_nodes, n_padded, ell_n, spec.d, keep=(sim == "exact")
+        g, bound, n_nodes, n_padded, ell_n, spec.d, keep=exact
     )
-    if sim == "exact":
+    if exact:
         law = amp_est.outcome_law(RealOracle(values), power, "exact")
     else:
         law = amp_est.amplitude_law(a_padded, n_nodes, n_padded, power)
@@ -359,7 +354,7 @@ def plan_quantum(f: HolderFunction, eps1: float, mode: str = "query", sim: str =
             "beta": beta,
             "M": power,
             "B": bound,
-            "sim": sim,
+            "sim": law.mode,
             "clipped_nodes": clipped,
             "residual_midpoint_true": residual_midpoint,
             "interpolant_integral": proj.exact_integral,
@@ -373,7 +368,6 @@ def integrate_quantum(
     eps1: float,
     rng: np.random.Generator,
     mode: str = "query",
-    sim: str = "auto",
     ledger: ResourceLedger | None = None,
     plan: Plan | None = None,
 ) -> IntegrationResult:
@@ -384,10 +378,10 @@ def integrate_quantum(
     bound B = 2 * (probed sup) and its midpoint rule over the coupled grid
     is estimated to precision eps1 by a single amplitude-estimation run.
     A residual that probes to zero short-circuits with zero queries.  With a
-    ``plan`` from ``plan_quantum`` with the same f, eps1, mode and sim, only
-    the outcome draw runs.
+    ``plan`` from ``plan_quantum`` with the same f, eps1 and mode, only the
+    outcome draw runs.
     """
-    plan = _checked(plan, ("quantum", f, eps1, mode, sim)) or plan_quantum(f, eps1, mode, sim)
+    plan = _checked(plan, ("quantum", f, eps1, mode)) or plan_quantum(f, eps1, mode)
     ledger = _charged(ledger, plan)
     estimate = plan.base
     if plan.law is not None:
@@ -401,7 +395,6 @@ def expectation_randomized_quantum(
     f_oracle,
     eps: float,
     rng: np.random.Generator,
-    mode: str = "analytic",
     ledger: ResourceLedger | None = None,
 ) -> float:
     """Expectation of a bounded random variable with a free random generator.
@@ -411,7 +404,8 @@ def expectation_randomized_quantum(
     discrete mean to eps/3 with failure probability at most 1/8 (a 3-run
     median boost of the single-run estimator).  Together with the Chebyshev
     bound on the empirical mean this gives total error at most eps with
-    probability at least 3/4.
+    probability at least 3/4.  The three runs draw from one closed-form
+    outcome law.
 
     ``sampler(rng, n)`` must return the sample points; ``f_oracle(points)``
     their approximate values with absolute error at most eps/3.  The draws
@@ -428,10 +422,6 @@ def expectation_randomized_quantum(
     shift = 1.0 + eps / 3.0
     scaled = (np.clip(values, -shift, shift) + shift) / (2.0 * shift)
     power = amp_est.smallest_power_for_error(eps / (3.0 * 2.0 * shift))
-    oracle = RealOracle(scaled)
-
-    def single_run(r: np.random.Generator):
-        return estimate_mean(oracle, power, r, mode=mode, ledger=ledger)
-
-    boosted = median_boost(single_run, 3, rng)
+    law = amp_est.outcome_law(RealOracle(scaled), power, "analytic")
+    boosted = median_boost(lambda r: law.draw(r, ledger), 3, rng)
     return 2.0 * shift * boosted.value - shift

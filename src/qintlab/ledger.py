@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -26,15 +26,13 @@ class ResourceLedger:
 
     def add(self, other: ResourceLedger) -> None:
         """Charge every counter of ``other`` to this ledger."""
-        self.classical_evals += other.classical_evals
-        self.quantum_queries += other.quantum_queries
-        self.random_bits += other.random_bits
-        self.gates += other.gates
+        for name in COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "classical_evals": self.classical_evals,
-            "quantum_queries": self.quantum_queries,
-            "random_bits": self.random_bits,
-            "gates": self.gates,
-        }
+        """The counters by name, in ``COUNTERS`` order."""
+        return {name: getattr(self, name) for name in COUNTERS}
+
+
+# The counter names in field order; reports and records are built from it.
+COUNTERS = tuple(f.name for f in fields(ResourceLedger))

@@ -157,14 +157,11 @@ def measure(
 ) -> int:
     """Sample a basis index from the measurement distribution.
 
-    The same generator state reproduces the same outcome.  Reading out the
-    m-qubit register is charged as m random bits.
+    One shot of ``measure_shots``: the same generator state reproduces the
+    same outcome, and reading out the m-qubit register is charged as m
+    random bits.
     """
-    probs = probability_vector(state)
-    outcome = int(rng.choice(state.dim, p=probs / probs.sum()))
-    if ledger is not None:
-        ledger.random_bits += state.m
-    return outcome
+    return int(measure_shots(state, 1, rng, ledger)[0])
 
 
 def measure_shots(

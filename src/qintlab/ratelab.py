@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .amp_est import error_bound
 from .holder import HolderClassSpec, HolderFunction
 from .integrators import (
     IntegrationResult,
@@ -33,7 +34,7 @@ from .integrators import (
     plan_mc,
     plan_quantum,
 )
-from .ledger import ResourceLedger
+from .ledger import COUNTERS, ResourceLedger
 
 _BOOTSTRAP_RESAMPLES = 1000
 _BOOTSTRAP_KEY = 10007
@@ -45,6 +46,8 @@ class ConfigurationError(Exception):
 
 @dataclass
 class TrialRecord:
+    """One trial's absolute error, then its ledger counters in ``COUNTERS`` order."""
+
     error: float
     classical_evals: int
     quantum_queries: int
@@ -119,7 +122,7 @@ def _quantum(fn, eps1, mode):
 def _quantum_by_budget(fn, budget, mode):
     if budget < 16 or budget & (budget - 1):
         raise ConfigurationError(f"quantum budgets must be powers of two >= 16, got {budget}")
-    return _quantum(fn, math.pi / budget + math.pi**2 / budget**2, mode)
+    return _quantum(fn, error_bound(budget), mode)
 
 
 @dataclass(frozen=True)
@@ -208,14 +211,7 @@ def run_convergence(
     entry = METHODS[method]
 
     def record(result: IntegrationResult) -> TrialRecord:
-        led = result.ledger
-        return TrialRecord(
-            error=abs(result.estimate - exact),
-            classical_evals=led.classical_evals,
-            quantum_queries=led.quantum_queries,
-            random_bits=led.random_bits,
-            gates=led.gates,
-        )
+        return TrialRecord(error=abs(result.estimate - exact), **result.ledger.as_dict())
 
     runs = trials if entry.randomized else 1
 
@@ -279,10 +275,7 @@ def fit_rate(report: ConvergenceReport) -> tuple[float, tuple[float, float]]:
 # Serialisation
 # ---------------------------------------------------------------------------
 
-CSV_HEADER = (
-    "method,d,k,alpha,gamma,mode,budget,trial,error,"
-    "classical_evals,quantum_queries,random_bits,gates,seed,requested,fn"
-)
+CSV_HEADER = ",".join(("method,d,k,alpha,gamma,mode,budget,trial,error", *COUNTERS, "seed,requested,fn"))
 
 
 def export(report: ConvergenceReport, fmt: str, path: str) -> None:
@@ -306,11 +299,11 @@ def _export_csv(report: ConvergenceReport, path: str) -> None:
         fn = report.metadata.get("fn", "")
         for row in report.rows:
             for ti, trial in enumerate(row.trials):
+                counts = ",".join(str(getattr(trial, name)) for name in COUNTERS)
                 out.write(
                     f"{report.method},{report.d},{report.k},{report.alpha!r},"
                     f"{report.gamma!r},{report.mode},{row.budget},{ti},{trial.error!r},"
-                    f"{trial.classical_evals},{trial.quantum_queries},"
-                    f"{trial.random_bits},{trial.gates},{seed},{row.requested},{fn}\n"
+                    f"{counts},{seed},{row.requested},{fn}\n"
                 )
 
 
@@ -385,15 +378,8 @@ def load_report(path: str, fmt: str) -> ConvergenceReport:
             requested = int(record.get("requested") or record["budget"])
             if not report.rows or report.rows[-1].requested != requested:
                 report.rows.append(BudgetRow(requested, int(record["budget"]), trials=[]))
-            report.rows[-1].trials.append(
-                TrialRecord(
-                    error=float(record["error"]),
-                    classical_evals=int(record["classical_evals"]),
-                    quantum_queries=int(record["quantum_queries"]),
-                    random_bits=int(record["random_bits"]),
-                    gates=int(record["gates"]),
-                )
-            )
+            counts = {name: int(record[name]) for name in COUNTERS}
+            report.rows[-1].trials.append(TrialRecord(error=float(record["error"]), **counts))
     if report is None:
         raise ConfigurationError(f"no data rows in {path}")
     return report

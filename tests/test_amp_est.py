@@ -9,6 +9,7 @@ from qintlab.amp_est import (
     MeanEstimate,
     RealOracle,
     amplitude_law,
+    error_bound,
     estimate_mean,
     estimate_mean_from_amplitude,
     exact_estimate_distribution,
@@ -17,7 +18,6 @@ from qintlab.amp_est import (
     outcome_law,
     phase_estimation_distribution,
     prepared_state,
-    sample_estimate_from_amplitude,
     smallest_power_for_error,
 )
 from qintlab.ledger import ResourceLedger
@@ -187,6 +187,13 @@ def test_smallest_power_for_error():
         assert math.pi / half + math.pi**2 / half**2 > eps
 
 
+def test_error_bound_is_the_power_rule_inverse():
+    for t in range(4, 15):
+        B = 2**t
+        assert error_bound(B) == math.pi / B + math.pi**2 / B**2
+        assert smallest_power_for_error(error_bound(B)) == B
+
+
 def test_median_boost_validation_and_identity():
     runs = iter([MeanEstimate(0.4, 8, "analytic")])
     with pytest.raises(ValueError):
@@ -248,7 +255,7 @@ def test_query_scaling_linear_in_inverse_error():
 
 def test_sampling_helper_respects_distribution():
     rng = np.random.default_rng(123)
-    draws = [sample_estimate_from_amplitude(0.5, 4, rng) for _ in range(50)]
+    draws = [amplitude_law(0.5, 1, 1, 4).draw(rng).value for _ in range(50)]
     assert all(d == pytest.approx(0.5, abs=1e-12) for d in draws)
 
 

@@ -15,6 +15,8 @@ def test_parse_budgets():
     assert parse_budgets("2^4..2^7") == [16, 32, 64, 128]
     assert parse_budgets("16,64,256") == [16, 64, 256]
     assert parse_budgets("2^10") == [1024]
+    with pytest.raises(ConfigurationError, match="at least 1"):
+        parse_budgets("4,0,8")
 
 
 @pytest.mark.parametrize("text", ["0..8", "-4..8", "2^5..2^4"])
@@ -27,6 +29,31 @@ def test_rates_zero_budget_range_exit_code(capsys):
     code = main(["rates", "--method", "mc", "--d", "1", "--budgets", "0..8", "--trials", "1"])
     assert code == 2
     assert "budget range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("integrate --method det --d 1 --eps1 0", "positive and finite"),
+        ("integrate --method mc --d 1 --eps1 0", "positive and finite"),
+        ("integrate --method det --d 1 --eps1 -0.1", "positive and finite"),
+        ("integrate --method det --d 1 --eps1 nan", "positive and finite"),
+        ("integrate --method det --d 1 --eps1 inf", "positive and finite"),
+        ("integrate --method det --d 1 --eps1 1e-300", "too small"),
+        ("integrate --method mc --d 1 --eps1 1e-300", "too small"),
+        ("integrate --method coin --d 1 --eps1 1e-300", "too small"),
+        ("integrate --method rand-quantum --d 1 --eps1 0.25 --p 2", "--p must lie in"),
+        ("integrate --method rand-quantum --d 1 --eps1 0.25 --p nan", "--p must lie in"),
+        ("integrate --method det --d 1 --eps1 0.1 --trials -2", "at least one trial"),
+        ("mean --n 4 --eps 0.1 --trials 0", "at least one trial"),
+        ("rates --method det --d 1 --budgets 0,4,8,16", "budgets must be at least 1"),
+    ],
+)
+def test_out_of_range_inputs_exit_two(capsys, command, message):
+    assert main(command.split()) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def test_method_choices_come_from_the_table(monkeypatch):

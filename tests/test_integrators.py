@@ -5,8 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from qintlab import integrators
-from qintlab.amp_est import RealOracle, exact_estimate_distribution, phase_estimation_distribution
+from qintlab import amp_est, integrators
+from qintlab.amp_est import (
+    RealOracle,
+    amplitude_law,
+    exact_estimate_distribution,
+    outcome_law,
+    phase_estimation_distribution,
+)
 from qintlab.holder import HolderFunction, adversarial_signs, fooling_family, make_spec, suite_member
 from qintlab.integrators import (
     CoinStream,
@@ -239,8 +245,9 @@ def test_quantum_example_square_function():
 def test_quantum_exact_and_analytic_modes_agree_in_law():
     f = suite_member(SPEC1, "quadratic")
     eps1 = 2**-4
-    result = integrate_quantum(f, eps1, np.random.default_rng(0), sim="exact")
+    result = integrate_quantum(f, eps1, np.random.default_rng(0))
     p = result.parameters
+    assert p["sim"] == "exact"
     # Rebuild the scaled residual oracle the integrator loaded into the register.
     g = residual(f, interpolate(f, p["n_points"]))
     vals = g.evaluator(cell_midpoints(np.arange(p["N"]), p["ell_N"], 1))
@@ -251,12 +258,11 @@ def test_quantum_exact_and_analytic_modes_agree_in_law():
     np.testing.assert_array_equal(values_exact, values_analytic)
     assert np.max(np.abs(law_exact - law_analytic)) <= 1e-12
 
-    exact_vals = [
-        integrate_quantum(f, eps1, np.random.default_rng(s), sim="exact").estimate
-        for s in range(60)
-    ]
+    exact_vals = [integrate_quantum(f, eps1, np.random.default_rng(s)).estimate for s in range(60)]
+    law = amplitude_law(oracle.padded_mean(), oracle.n, oracle.n_padded, p["M"])
+    B = p["B"]
     analytic_vals = [
-        integrate_quantum(f, eps1, np.random.default_rng(1000 + s), sim="analytic").estimate
+        p["interpolant_integral"] + 2.0 * B * law.draw(np.random.default_rng(1000 + s)).value - B
         for s in range(60)
     ]
     assert abs(np.median(exact_vals) - np.median(analytic_vals)) <= 2e-3
@@ -288,7 +294,6 @@ def _square():
 # name -> (integrator, plan builder, function factory, budget argument, keywords)
 PLANNED = {
     "quantum-exact": (integrate_quantum, plan_quantum, _square, 2**-5, {}),
-    "quantum-analytic": (integrate_quantum, plan_quantum, _square, 2**-5, {"sim": "analytic"}),
     "quantum-auto-analytic": (
         integrate_quantum, plan_quantum, lambda: suite_member(SPEC1, "multiscale"), 2**-8, {}
     ),
@@ -341,10 +346,11 @@ def test_seeded_estimates_are_pinned():
 )
 def test_blocked_residual_stream_matches_whole_chunk_evaluation(monkeypatch, params, name, eps1, sim):
     f = suite_member(make_spec(*params), name)
-    blocked = plan_quantum(f, eps1, sim=sim)
+    blocked = plan_quantum(f, eps1)
     assert blocked.parameters["N"] > integrators._BLOCK
+    assert blocked.parameters["sim"] == sim
     monkeypatch.setattr(integrators, "_BLOCK", CHUNK)
-    whole = plan_quantum(f, eps1, sim=sim)
+    whole = plan_quantum(f, eps1)
     assert blocked.parameters == whole.parameters
     assert blocked.law.probs.tobytes() == whole.law.probs.tobytes()
 
@@ -357,7 +363,6 @@ def test_plan_must_match_the_call():
         lambda: integrate_quantum(f, 2**-4, rng, plan=plan),
         lambda: integrate_quantum(other, 2**-5, rng, plan=plan),
         lambda: integrate_quantum(f, 2**-5, rng, mode="bit", plan=plan),
-        lambda: integrate_quantum(f, 2**-5, rng, sim="exact", plan=plan),
         lambda: integrate_coin(f, 2**-5, rng, plan=plan),
         lambda: integrate_mc(f, 32, rng, plan=plan_mc(f, 32, variance_reduced=True)),
         lambda: integrate_mc(f, 64, rng, variance_reduced=True, plan=plan_mc(f, 32, variance_reduced=True)),
@@ -365,6 +370,19 @@ def test_plan_must_match_the_call():
     for call in calls:
         with pytest.raises(ValueError, match="plan built for"):
             call()
+
+
+def test_one_size_rule_picks_the_law_for_the_register_and_the_integrator(monkeypatch):
+    # The square function at 2**-5 is simulated (n_padded * M = 2**19); a
+    # limit just below that product flips both callers of amp_est.simulates.
+    f = _square()
+    plan = plan_quantum(f, 2**-5)
+    n_padded = 1 << (plan.parameters["N"] - 1).bit_length()
+    oracle = RealOracle(np.linspace(0.0, 1.0, n_padded))
+    M = plan.parameters["M"]
+    assert plan.parameters["sim"] == outcome_law(oracle, M, "auto").mode == "exact"
+    monkeypatch.setattr(amp_est, "AUTO_EXACT_LIMIT", n_padded * M - 1)
+    assert plan_quantum(f, 2**-5).parameters["sim"] == outcome_law(oracle, M, "auto").mode == "analytic"
 
 
 def test_shared_ledger_is_charged_the_plan_on_every_trial():
@@ -427,6 +445,35 @@ def test_expectation_constant_variable():
             lambda r, n: np.full(n, c), lambda p: p, 0.3, np.random.default_rng(seed)
         )
         assert abs(est - c) <= 0.1  # eps/3 of estimation error only
+
+
+def test_expectation_builds_one_law_for_its_three_runs(monkeypatch):
+    built = []
+
+    def counting_law(*args):
+        built.append(args)
+        return amplitude_law(*args)
+
+    monkeypatch.setattr(amp_est, "amplitude_law", counting_law)
+    ledger = ResourceLedger()
+    expectation_randomized_quantum(
+        lambda r, n: np.zeros(n), lambda p: p, 0.3, np.random.default_rng(0), ledger=ledger
+    )
+    assert len(built) == 1
+    assert ledger.quantum_queries == 3 * built[0][3]
+
+
+def test_expectation_estimates_are_pinned():
+    # Values from the per-run law construction; one shared law draws the same.
+    pinned = {0: 0.2862890545749599, 1: 0.31488193263374065, 2: 0.2862890545749599}
+    for seed, value in pinned.items():
+        ledger = ResourceLedger()
+        est = expectation_randomized_quantum(
+            lambda r, n: (r.random(n) < 0.3).astype(float), lambda p: p, 0.1,
+            np.random.default_rng(seed), ledger=ledger,
+        )
+        assert est == value
+        assert ledger == ResourceLedger(quantum_queries=768, random_bits=24, gates=24654)
 
 
 def test_expectation_chebyshev_substep():

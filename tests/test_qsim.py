@@ -150,6 +150,16 @@ def test_measure_reproducible_with_seed():
     assert a == b
 
 
+def test_measure_is_one_shot():
+    state = random_state(4, np.random.default_rng(5))
+    for seed in range(20):
+        one, shots = ResourceLedger(), ResourceLedger()
+        outcome = measure(state, np.random.default_rng(seed), one)
+        assert outcome == measure_shots(state, 1, np.random.default_rng(seed), shots)[0]
+        assert type(outcome) is int
+        assert one == shots == ResourceLedger(random_bits=4)
+
+
 def test_measure_uniform_frequencies():
     state = walsh_hadamard_all(basis_state(2, 0))
     outcomes = measure_shots(state, 100_000, np.random.default_rng(42))

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from qintlab import integrators, ratelab
+from qintlab.amp_est import error_bound
 from qintlab.holder import HolderFunction, make_spec, suite_member
+from qintlab.ledger import COUNTERS, ResourceLedger
 from qintlab.ratelab import (
     BudgetRow,
     ConfigurationError,
@@ -135,6 +137,22 @@ def test_quantum_budget_axis_is_query_count():
     for row in report.rows:
         assert row.budget == row.requested
         assert row.trials[0].quantum_queries == row.requested
+
+
+def test_quantum_budget_map_asks_for_the_single_run_error_bound():
+    f = suite_member(SPEC1, "quadratic")
+    for budget in (16, 64, 1024):
+        result = METHODS["quantum"].by_budget(f, budget, "query")(np.random.default_rng(0))
+        assert result.parameters["eps1"] == error_bound(budget)
+        assert result.parameters["M"] == budget
+
+
+def test_trial_records_carry_the_ledger_counters():
+    assert tuple(TrialRecord.__dataclass_fields__) == ("error", *COUNTERS)
+    ledger = ResourceLedger(classical_evals=1, quantum_queries=2, random_bits=3, gates=4)
+    assert list(ledger.as_dict()) == list(COUNTERS)
+    ledger.add(ledger)
+    assert ledger.as_dict() == {"classical_evals": 2, "quantum_queries": 4, "random_bits": 6, "gates": 8}
 
 
 def test_monotone_budget_sanity_for_deterministic_runs():
