@@ -34,8 +34,6 @@ import numpy as np
 from .ledger import ResourceLedger
 from .qsim import QuantumState
 
-SINGLE_RUN_CONFIDENCE = 8.0 / math.pi**2
-
 # Largest (padded item count) * (Grover power budget) still simulated exactly
 # when the execution mode is left on "auto"; the simulation's time grows
 # with that product.

@@ -73,6 +73,12 @@ def _require_trials(trials: int) -> None:
 
 def cmd_mean(args) -> int:
     _require_trials(args.trials)
+    if not 0.0 < args.eps < math.inf:
+        raise ratelab.ConfigurationError(f"--eps must be positive and finite, got {args.eps}")
+    try:
+        M = amp_est.smallest_power_for_error(args.eps)
+    except OverflowError as exc:
+        raise ratelab.ConfigurationError(f"--eps {args.eps} is too small: its power M overflows") from exc
     rng = _rng(args.seed)
     if args.dist == "const":
         values = np.full(args.n, 0.5)
@@ -82,13 +88,10 @@ def cmd_mean(args) -> int:
         values = rng.random(args.n)
     oracle = amp_est.RealOracle(values)
     truth = float(values.mean())
-    M = amp_est.smallest_power_for_error(args.eps)
-    hits = 0
-    queries = 0
-    for _ in range(args.trials):
-        est = amp_est.estimate_mean(oracle, M, rng, mode=args.mode)
-        hits += abs(est.value - truth) <= args.eps
-        queries += est.queries_used
+    law = amp_est.outcome_law(oracle, M, args.mode)
+    runs = [law.draw(rng) for _ in range(args.trials)]
+    hits = sum(abs(est.value - truth) <= args.eps for est in runs)
+    queries = sum(est.queries_used for est in runs)
     print(f"n={args.n} dist={args.dist} true mean={truth:.6f} eps={args.eps} M={M}")
     print(f"success rate over {args.trials} trials: {hits / args.trials:.4f}")
     print(f"mean queries per trial: {queries / args.trials:.1f}")

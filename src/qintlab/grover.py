@@ -43,9 +43,6 @@ class BitOracle:
         self.mask = mask
         self.marked_count = int(mask.sum())
 
-    def marked_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.mask)
-
 
 def sign_oracle(
     oracle: BitOracle, state: QuantumState, ledger: ResourceLedger | None = None

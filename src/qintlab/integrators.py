@@ -44,15 +44,9 @@ from . import amp_est
 from .amp_est import RealOracle, estimate_mean, estimate_mean_from_amplitude, median_boost  # noqa: F401
 from .holder import HolderClassSpec, HolderFunction
 from .ledger import ResourceLedger
-from .quadrature import CHUNK, cell_midpoints, interpolate, midpoint_rule, probe_sup, residual
+from .quadrature import CHUNK, cell_midpoints, interpolate, midpoint_rule, probe_sup, residual, walk
 
 _BETA_CAP = 0.9
-# Points per residual evaluation inside a streamed chunk.  An evaluator
-# makes many temporaries per call; at this size they stay in cache and in
-# reused heap memory instead of being mapped and page-faulted afresh for
-# every chunk.  Sums still run over whole chunks, so results do not depend
-# on it.
-_BLOCK = 1 << 12
 _MIN_N_OVER = 4
 
 
@@ -276,19 +270,12 @@ def _scaled_residual_amplitude(g, bound, n_nodes, n_padded, ell_n, d, keep):
     Returns the padded amplitude, the true midpoint value of the residual,
     how many node values the bound failed to cover (clipped), and, if
     ``keep`` is set, the clipped scaled values themselves (else None).
-    The evaluator sees blocks of ``_BLOCK`` points; it is pointwise, so a
-    chunk's values are the same as from one call on the whole chunk.
     """
     scaled_sum = 0.0
     raw_sum = 0.0
     clipped = 0
     kept = []
-    for start in range(0, n_nodes, CHUNK):
-        stop = min(start + CHUNK, n_nodes)
-        vals = np.empty(stop - start)
-        for lo in range(start, stop, _BLOCK):
-            hi = min(lo + _BLOCK, stop)
-            vals[lo - start : hi - start] = g.evaluator(cell_midpoints(np.arange(lo, hi), ell_n, d))
+    for vals in walk(g.evaluator, lambda idx: cell_midpoints(idx, ell_n, d), n_nodes):
         raw_sum += float(vals.sum())
         scaled = (vals + bound) / (2.0 * bound)
         clipped += int(((scaled < 0.0) | (scaled > 1.0)).sum())

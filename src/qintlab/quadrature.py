@@ -16,6 +16,11 @@ from .ledger import ResourceLedger
 
 # Points per evaluation batch in every streamed loop of the lab.
 CHUNK = 1 << 18
+# Points per evaluator call inside a walked chunk.  An evaluator makes many
+# temporaries per call; at this size they stay in cache and in reused heap
+# memory instead of being mapped and page-faulted afresh for every chunk.
+# Sums still run over whole chunks, so results do not depend on it.
+BLOCK = 1 << 12
 PROBE_OVERSAMPLE = 8
 _PROBE_CAP = 1 << 22
 
@@ -30,16 +35,30 @@ def cell_midpoints(indices: np.ndarray, ell: int, d: int) -> np.ndarray:
     return pts
 
 
+def walk(evaluate, points, n: int):
+    """Values of ``evaluate`` at positions 0..n-1, yielded CHUNK at a time.
+
+    ``points(idx)`` gives the points at the positions ``idx``, which reach
+    ``evaluate`` BLOCK at a time.  Every evaluator in the lab is pointwise,
+    so a chunk holds the same values as one call on all of it.
+    """
+    for start in range(0, n, CHUNK):
+        stop = min(start + CHUNK, n)
+        vals = np.empty(stop - start)
+        for lo in range(start, stop, BLOCK):
+            hi = min(lo + BLOCK, stop)
+            vals[lo - start : hi - start] = evaluate(points(np.arange(lo, hi)))
+        yield vals
+
+
 def midpoint_rule(f: HolderFunction, ell: int, ledger: ResourceLedger | None = None) -> float:
     """Average of f over the ell**d cell midpoints of the uniform partition."""
     if ell < 1:
         raise ValueError(f"cells per axis must be positive, got {ell}")
-    d = f.spec.d
-    n = ell**d
+    n = ell**f.spec.d
     total = 0.0
-    for start in range(0, n, CHUNK):
-        idx = np.arange(start, min(start + CHUNK, n))
-        total += float(f(cell_midpoints(idx, ell, d), ledger).sum())
+    for vals in walk(lambda pts: f(pts, ledger), lambda idx: cell_midpoints(idx, ell, f.spec.d), n):
+        total += float(vals.sum())
     return total / n
 
 
@@ -51,6 +70,14 @@ def _vandermonde_inverse(k: int) -> np.ndarray:
     tau = _local_nodes(k)
     V = np.vander(tau, k + 1, increasing=True)
     return np.linalg.inv(V)
+
+
+def _nodes(ell: int, k: int, d: int):
+    """``points`` for ``walk``: the interpolation nodes, cell-major."""
+    nloc = (k + 1) ** d
+    local_mesh = np.meshgrid(*([_local_nodes(k)] * d), indexing="ij")
+    offsets = np.stack([m.ravel() for m in local_mesh], axis=1) / ell
+    return lambda idx: (cell_midpoints(idx // nloc, ell, d) - 0.5 / ell) + offsets[idx % nloc]
 
 
 def _integral_weights(k: int) -> np.ndarray:
@@ -97,16 +124,8 @@ class PiecewiseInterpolant:
         return (self.node_values[flat_cell] * basis).sum(axis=1)
 
     def node_points(self) -> np.ndarray:
-        """All interpolation nodes, cell-major, matching node_values order."""
-        k, d, ell = self.spec.k, self.spec.d, self.ell
-        tau = _local_nodes(k)
-        axis_cells = np.arange(ell)
-        cell_mesh = np.meshgrid(*([axis_cells] * d), indexing="ij")
-        local_mesh = np.meshgrid(*([tau] * d), indexing="ij")
-        cells = np.stack([m.ravel() for m in cell_mesh], axis=1)
-        locals_ = np.stack([m.ravel() for m in local_mesh], axis=1)
-        pts = (cells[:, None, :] + locals_[None, :, :]) / ell
-        return pts.reshape(-1, d)
+        """All interpolation nodes, cell-major, as ``interpolate`` evaluated them."""
+        return _nodes(self.ell, self.spec.k, self.spec.d)(np.arange(self.n_points))
 
 
 def interpolate(
@@ -124,18 +143,10 @@ def interpolate(
         ell -= 1
     if ell < 1:
         raise ValueError(f"budget {n_target} below the {per_cell ** d}-node minimum")
-    tau = _local_nodes(k)
-    ncells = ell**d
-    nloc = per_cell**d
-    node_values = np.empty((ncells, nloc))
-    local_mesh = np.meshgrid(*([tau] * d), indexing="ij")
-    local_offsets = np.stack([m.ravel() for m in local_mesh], axis=1)
-    for start in range(0, ncells, max(1, CHUNK // nloc)):
-        stop = min(start + max(1, CHUNK // nloc), ncells)
-        idx = np.arange(start, stop)
-        corners = cell_midpoints(idx, ell, d) - 0.5 / ell
-        pts = (corners[:, None, :] + local_offsets[None, :, :] / ell).reshape(-1, d)
-        node_values[start:stop] = f(pts, ledger).reshape(stop - start, nloc)
+    node_values = np.empty((ell**d, per_cell**d))
+    flat = node_values.reshape(-1)
+    for i, vals in enumerate(walk(lambda pts: f(pts, ledger), _nodes(ell, k, d), flat.size)):
+        flat[i * CHUNK : i * CHUNK + vals.size] = vals
     return PiecewiseInterpolant(f.spec, ell, node_values)
 
 
@@ -165,11 +176,9 @@ def probe_sup(f: HolderFunction, cell_resolution: int) -> float:
     per_axis = max(2, PROBE_OVERSAMPLE * cell_resolution)
     while per_axis**d > _PROBE_CAP and per_axis > 2:
         per_axis //= 2
-    n = per_axis**d
     worst = 0.0
-    for start in range(0, n, CHUNK):
-        idx = np.arange(start, min(start + CHUNK, n))
-        chunk_max = float(np.abs(f.evaluator(cell_midpoints(idx, per_axis, d))).max())
+    for vals in walk(f.evaluator, lambda idx: cell_midpoints(idx, per_axis, d), per_axis**d):
+        chunk_max = float(np.abs(vals).max())
         if not np.isfinite(chunk_max):
             raise ValueError(f"{f.name or 'function'} is not finite on the probe grid")
         worst = max(worst, chunk_max)

@@ -46,6 +46,9 @@ def test_rates_zero_budget_range_exit_code(capsys):
         ("integrate --method rand-quantum --d 1 --eps1 0.25 --p nan", "--p must lie in"),
         ("integrate --method det --d 1 --eps1 0.1 --trials -2", "at least one trial"),
         ("mean --n 4 --eps 0.1 --trials 0", "at least one trial"),
+        ("mean --n 4 --eps nan --trials 3", "--eps must be positive and finite"),
+        ("mean --n 4 --eps inf --trials 3", "--eps must be positive and finite"),
+        ("mean --n 4 --eps 1e-300 --trials 3", "--eps 1e-300 is too small"),
         ("rates --method det --d 1 --budgets 0,4,8,16", "budgets must be at least 1"),
     ],
 )

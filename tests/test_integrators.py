@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qintlab import amp_est, integrators
+from qintlab import amp_est, integrators, quadrature
 from qintlab.amp_est import (
     RealOracle,
     amplitude_law,
@@ -342,17 +342,24 @@ def test_seeded_estimates_are_pinned():
 
 @pytest.mark.parametrize(
     "params, name, eps1, sim",
-    [((1, 0, 1.0), "multiscale", 2**-8, "analytic"), ((2, 1, 0.5), "quadratic", 2**-4, "exact")],
+    [
+        ((1, 0, 1.0), "multiscale", 2**-8, "analytic"),
+        ((2, 1, 0.5), "quadratic", 2**-4, "exact"),
+        ((1, 1, 0.5), "quadratic", 2**-7, "analytic"),
+        ((2, 0, 1.0), "multiscale", 2**-6.5, "analytic"),
+    ],
 )
 def test_blocked_residual_stream_matches_whole_chunk_evaluation(monkeypatch, params, name, eps1, sim):
+    # The last two coupled grids are larger than one chunk.
     f = suite_member(make_spec(*params), name)
     blocked = plan_quantum(f, eps1)
-    assert blocked.parameters["N"] > integrators._BLOCK
+    assert blocked.parameters["N"] > quadrature.BLOCK
     assert blocked.parameters["sim"] == sim
-    monkeypatch.setattr(integrators, "_BLOCK", CHUNK)
-    whole = plan_quantum(f, eps1)
-    assert blocked.parameters == whole.parameters
-    assert blocked.law.probs.tobytes() == whole.law.probs.tobytes()
+    for block in (CHUNK, 777):
+        monkeypatch.setattr(quadrature, "BLOCK", block)
+        other = plan_quantum(f, eps1)
+        assert blocked.parameters == other.parameters
+        assert blocked.law.probs.tobytes() == other.law.probs.tobytes()
 
 
 def test_plan_must_match_the_call():

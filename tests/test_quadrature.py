@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from qintlab import quadrature
 from qintlab.holder import test_suite as benchmark_suite
 from qintlab.holder import HolderFunction, make_spec, suite_member
 from qintlab.ledger import ResourceLedger
-from qintlab.quadrature import interpolate, midpoint_rule, probe_sup, residual
+from qintlab.quadrature import CHUNK, interpolate, midpoint_rule, probe_sup, residual
 
 SPEC1 = make_spec(1, 0, 1)
 
@@ -167,3 +168,33 @@ def test_midpoint_rate_on_rough_member(params):
     errors = [abs(midpoint_rule(member, ell) - member.exact_integral) for ell in ells]
     slope = np.polyfit(np.log([ell**spec.d for ell in ells]), np.log(errors), 1)[0]
     assert slope == pytest.approx(-spec.gamma, abs=0.15)
+
+
+@pytest.mark.parametrize("params", [(1, 0, 1.0), (2, 0, 1.0), (1, 1, 0.5), (2, 1, 0.5)])
+def test_walk_block_size_leaves_every_result_bit_identical(monkeypatch, params):
+    # Every grid is larger than one chunk, so each walk crosses a chunk
+    # edge and ends on a partial block.
+    spec = make_spec(*params)
+    f = suite_member(spec, "multiscale" if spec.k == 0 else "quadratic")
+    ell, probe_cells = {1: (CHUNK + 4097, CHUNK // 8 + 1), 2: (520, 65)}[spec.d]
+
+    def results():
+        ledger = ResourceLedger()
+        p = interpolate(f, CHUNK + 5000, ledger)
+        assert p.n_points > CHUNK
+        sums = (midpoint_rule(f, ell, ledger), probe_sup(f, probe_cells), p.exact_integral)
+        assert ledger.classical_evals == p.n_points + ell**spec.d
+        return [x.hex() for x in sums], p.node_values.tobytes()
+
+    default = results()
+    for block in (CHUNK, 777):
+        monkeypatch.setattr(quadrature, "BLOCK", block)
+        assert results() == default
+
+
+@pytest.mark.parametrize("params", [(1, 1, 0.5), (2, 1, 0.5), (2, 2, 0.5)])
+def test_node_points_are_the_evaluated_nodes(params):
+    f = suite_member(make_spec(*params), "quadratic")
+    p = interpolate(f, CHUNK + 5000)
+    values = np.asarray(f.evaluator(p.node_points()), dtype=float)
+    assert values.tobytes() == p.node_values.ravel().tobytes()
