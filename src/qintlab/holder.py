@@ -225,11 +225,15 @@ def _multiscale_axis(t: np.ndarray, alpha: float, base: int) -> np.ndarray:
     # integer multiples of every hosted period, so the profile is continuous,
     # its Holder quotient never accumulates across scales, and the signs
     # prevent fine-band integration errors from cancelling the active band.
+    # Every point of band b has j = b + 2, so both powers of j are read from
+    # per-band tables instead of being raised once per point.
     levels = _MULTISCALE_LAYOUT[base]
     band = np.minimum((t * levels).astype(int), levels - 1)
-    j = band + 2
-    tj = t * float(base) ** j
-    fine = (-1.0) ** j * float(base) ** (-j * alpha) * np.abs(tj - np.round(tj))
+    j = np.arange(2, levels + 2)
+    scale = float(base) ** j
+    amp = (-1.0) ** j * float(base) ** (-j * alpha)
+    tj = t * scale[band]
+    fine = amp[band] * np.abs(tj - np.round(tj))
     coarse = 2.0 ** (1.0 - 2.0 * alpha) * np.abs(2.0 * t - np.round(2.0 * t))
     return coarse + fine
 

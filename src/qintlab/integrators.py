@@ -277,12 +277,15 @@ def _scaled_residual_amplitude(g, bound, n_nodes, n_padded, ell_n, d, keep):
     kept = []
     for vals in walk(g.evaluator, lambda idx: cell_midpoints(idx, ell_n, d), n_nodes):
         raw_sum += float(vals.sum())
-        scaled = (vals + bound) / (2.0 * bound)
-        clipped += int(((scaled < 0.0) | (scaled > 1.0)).sum())
-        scaled = np.clip(scaled, 0.0, 1.0)
-        scaled_sum += float(scaled.sum())
+        # Scaled in place: walk yields a fresh array per chunk, so kept
+        # chunks stay distinct.
+        np.add(vals, bound, out=vals)
+        np.divide(vals, 2.0 * bound, out=vals)
+        clipped += int(np.count_nonzero(vals < 0.0) + np.count_nonzero(vals > 1.0))
+        np.clip(vals, 0.0, 1.0, out=vals)
+        scaled_sum += float(vals.sum())
         if keep:
-            kept.append(scaled)
+            kept.append(vals)
     values = np.concatenate(kept) if keep else None
     return scaled_sum / n_padded, raw_sum / n_nodes, clipped, values
 

@@ -113,6 +113,10 @@ class PiecewiseInterpolant:
         cells = np.minimum((points * ell).astype(int), ell - 1)
         tau = points * ell - cells
         flat_cell = np.ravel_multi_index(tuple(cells.T), (ell,) * d)
+        if k == 0:
+            # The basis is all ones: each point takes its cell's one node
+            # value, plus 0.0 so that -0.0 reads 0.0 as in the one-term sum.
+            return self.node_values[flat_cell, 0] + 0.0
         basis = None
         for axis in range(d):
             powers = np.vander(tau[:, axis], k + 1, increasing=True)
@@ -139,6 +143,10 @@ def interpolate(
     k, d = f.spec.k, f.spec.d
     per_cell = k + 1
     ell = int(n_target ** (1.0 / d) / per_cell + 1e-9)
+    # Checked before the step-down: past float precision the estimate of ell
+    # can be off by more unit steps than the loop could ever take.
+    if (per_cell * ell) ** d > np.iinfo(np.intp).max:
+        raise OverflowError("the interpolation node count exceeds the largest array size")
     while ell >= 1 and (per_cell * ell) ** d > n_target:
         ell -= 1
     if ell < 1:

@@ -42,6 +42,9 @@ def test_rates_zero_budget_range_exit_code(capsys):
         ("integrate --method det --d 1 --eps1 1e-300", "too small"),
         ("integrate --method mc --d 1 --eps1 1e-300", "too small"),
         ("integrate --method coin --d 1 --eps1 1e-300", "too small"),
+        ("integrate --method quantum --d 1 --eps1 1e-300", "--eps1 1e-300 is too small"),
+        ("integrate --method mcvr --d 1 --eps1 1e-300", "--eps1 1e-300 is too small"),
+        ("integrate --method quantum --d 2 --eps1 1e-300", "--eps1 1e-300 is too small"),
         ("integrate --method rand-quantum --d 1 --eps1 0.25 --p 2", "--p must lie in"),
         ("integrate --method rand-quantum --d 1 --eps1 0.25 --p nan", "--p must lie in"),
         ("integrate --method det --d 1 --eps1 0.1 --trials -2", "at least one trial"),

@@ -209,3 +209,34 @@ def test_multiscale_bases_are_distinct_functions():
     f3 = suite_member(spec, "multiscale3")
     points = np.linspace(0.01, 0.99, 101).reshape(-1, 1)
     assert not np.allclose(f4(points), f3(points))
+
+
+def _multiscale_axis_per_point(t, alpha, base):
+    # The evaluator as it was before its powers were tabulated per band:
+    # both powers of j raised once per point.
+    levels = {4: 8, 3: 9}[base]
+    band = np.minimum((t * levels).astype(int), levels - 1)
+    j = band + 2
+    tj = t * float(base) ** j
+    fine = (-1.0) ** j * float(base) ** (-j * alpha) * np.abs(tj - np.round(tj))
+    coarse = 2.0 ** (1.0 - 2.0 * alpha) * np.abs(2.0 * t - np.round(2.0 * t))
+    return coarse + fine
+
+
+@pytest.mark.parametrize("base", [3, 4])
+@pytest.mark.parametrize("alpha", [1.0, 0.5, 0.3])
+def test_multiscale_band_tables_match_the_per_point_formula_bitwise(alpha, base):
+    # Band edges of both layouts (multiples of 1/8 and 1/9) and their float
+    # neighbours, a midpoint grid and random points.
+    edges = np.arange(73) / 72
+    t = np.concatenate([
+        np.random.default_rng(5).random(2**16),
+        edges,
+        np.nextafter(edges, 0.0),
+        np.nextafter(edges, 1.0)[:-1],
+        (np.arange(4096) + 0.5) / 4096,
+    ])
+    f = multiscale_function(make_spec(1, 0, alpha), base)
+    expected = np.zeros(t.size)
+    expected += _multiscale_axis_per_point(t, alpha, base)
+    assert f.evaluator(t.reshape(-1, 1)).tobytes() == expected.tobytes()

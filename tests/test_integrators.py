@@ -207,6 +207,7 @@ def test_quantum_parameter_couplings_and_ledger():
     assert ledger.quantum_queries == p["M"]
     assert ledger.classical_evals == p["n_points"]  # probing is uncounted
     assert ledger.random_bits == int(math.log2(p["M"]))
+    assert type(p["clipped_nodes"]) is int
 
 
 def test_quantum_bit_mode_uses_log_factor():

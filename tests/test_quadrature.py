@@ -7,7 +7,14 @@ from qintlab import quadrature
 from qintlab.holder import test_suite as benchmark_suite
 from qintlab.holder import HolderFunction, make_spec, suite_member
 from qintlab.ledger import ResourceLedger
-from qintlab.quadrature import CHUNK, interpolate, midpoint_rule, probe_sup, residual
+from qintlab.quadrature import (
+    CHUNK,
+    PiecewiseInterpolant,
+    interpolate,
+    midpoint_rule,
+    probe_sup,
+    residual,
+)
 
 SPEC1 = make_spec(1, 0, 1)
 
@@ -198,3 +205,26 @@ def test_node_points_are_the_evaluated_nodes(params):
     p = interpolate(f, CHUNK + 5000)
     values = np.asarray(f.evaluator(p.node_points()), dtype=float)
     assert values.tobytes() == p.node_values.ravel().tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_piecewise_constant_evaluate_matches_the_vandermonde_path_bitwise(d):
+    # The general evaluation with the k = 0 basis (all ones) as reference.
+    ell = {1: 37, 2: 9, 3: 5}[d]
+    rng = np.random.default_rng(d)
+    node_values = rng.normal(size=(ell**d, 1))
+    node_values[::7] = -0.0
+    p = PiecewiseInterpolant(make_spec(d, 0, 1), ell, node_values)
+    points = np.vstack([rng.random((4000, d)), np.eye(d), np.ones((1, d)), np.zeros((1, d))])
+    points[:50] = np.round(points[:50] * ell) / ell
+    cells = np.minimum((points * ell).astype(int), ell - 1)
+    tau = points * ell - cells
+    flat_cell = np.ravel_multi_index(tuple(cells.T), (ell,) * d)
+    vinv = np.linalg.inv(np.vander([0.5], 1, increasing=True))
+    basis = None
+    for axis in range(d):
+        axis_basis = np.vander(tau[:, axis], 1, increasing=True) @ vinv
+        basis = axis_basis if basis is None else (
+            basis[:, :, None] * axis_basis[:, None, :]).reshape(len(points), -1)
+    expected = (node_values[flat_cell] * basis).sum(axis=1)
+    assert p.evaluate(points).tobytes() == expected.tobytes()

@@ -66,6 +66,48 @@ def test_fit_excludes_zero_median_rows():
     assert slope == pytest.approx(-1.0, abs=1e-9)
 
 
+def _bootstrap_slopes_one_fit_per_resample(report, resamples):
+    # The bootstrap as it was before it was batched: one draw, one median
+    # and one 1-D polyfit per resample.
+    logb = np.log([row.budget for row in report.rows])
+    errs = np.stack([row.errors() for row in report.rows])
+    seed = report.metadata["seed"]
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(10007,))))
+    slopes = np.empty(resamples)
+    for b in range(resamples):
+        pick = rng.integers(0, errs.shape[1], size=errs.shape)
+        medians = np.maximum(np.median(np.take_along_axis(errs, pick, axis=1), axis=1), 1e-300)
+        slopes[b] = np.polyfit(logb, np.log(medians), 1)[0]
+    point = float(np.polyfit(logb, np.log(np.median(errs, axis=1)), 1)[0])
+    return point, slopes
+
+
+def test_one_shot_bootstrap_draws_the_same_picks_as_sequential_draws():
+    def draw():
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(3, spawn_key=(10007,))))
+
+    one_shot = draw().integers(0, 20, size=(1000, 7, 20))
+    rng = draw()
+    sequential = np.stack([rng.integers(0, 20, size=(7, 20)) for _ in range(1000)])
+    assert np.array_equal(one_shot, sequential)
+
+
+@pytest.mark.parametrize("trials, seed", [(20, 3), (7, 11), (2, 0)])
+def test_batched_bootstrap_matches_one_fit_per_resample(trials, seed):
+    rng = np.random.default_rng(seed)
+    report = synthetic_report(
+        [4**j for j in range(4, 11)],
+        lambda b: b**-1.0 * rng.lognormal(0.0, 1.0, size=trials),
+        trials=trials,
+        seed=seed,
+    )
+    point, slopes = _bootstrap_slopes_one_fit_per_resample(report, 1000)
+    slope, ci = fit_rate(report)
+    assert slope == point
+    expected = (np.percentile(slopes, 2.5), np.percentile(slopes, 97.5))
+    np.testing.assert_allclose(ci, expected, rtol=1e-14, atol=0)
+
+
 def test_fit_needs_four_rows():
     report = synthetic_report([2, 4, 8], lambda b: b**-1.0)
     with pytest.raises(ConfigurationError):
