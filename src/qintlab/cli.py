@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -134,7 +133,8 @@ def cmd_integrate(args) -> int:
         raise ratelab.ConfigurationError(
             f"--eps1 {args.eps1} is too small: the sizes it asks for do not fit ({exc})"
         ) from exc
-    _emit_rows(rows, args.out, args.format)
+    text = ratelab.json_text(rows) if args.format == "json" else ratelab.csv_text(tuple(rows[0]), rows)
+    ratelab.write_text(text, args.out)
     return 0
 
 
@@ -163,22 +163,6 @@ def _integrate_rows(args) -> list[dict]:
                 row["error"] = abs(result.estimate - fn.exact_integral)
             rows.append(row)
     return rows
-
-
-def _emit_rows(rows, out_path, fmt) -> None:
-    if fmt == "json":
-        text = json.dumps(rows, indent=1) + "\n"
-    else:
-        keys = list(rows[0].keys()) if rows else []
-        lines = [",".join(keys)]
-        lines += [",".join(repr(row[k]) if isinstance(row[k], float) else str(row[k]) for k in keys)
-                  for row in rows]
-        text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def cmd_rates(args) -> int:

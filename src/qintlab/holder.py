@@ -19,6 +19,7 @@ hard-instance generator.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
@@ -104,18 +105,12 @@ class MembershipReport:
     sup_norm: float
     worst_quotient: float
     witness: tuple | None
-    resolution: int
-    tol: float
-
-
-def _grid_axes(d: int, resolution: int) -> np.ndarray:
-    return (np.arange(resolution) + 0.5) / resolution
 
 
 def _grid_values(evaluator, d: int, resolution: int) -> np.ndarray:
     if resolution**d > 2**24:
         raise ValueError(f"measurement grid {resolution}^{d} too large")
-    axis = _grid_axes(d, resolution)
+    axis = (np.arange(resolution) + 0.5) / resolution
     mesh = np.meshgrid(*([axis] * d), indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
     return np.asarray(evaluator(points), dtype=float).reshape((resolution,) * d)
@@ -186,9 +181,7 @@ def measure_constants(
     return quotient, float(np.abs(values).max())
 
 
-def verify_membership(
-    f: HolderFunction, resolution: int | None = None, tol: float = MEMBERSHIP_TOL
-) -> MembershipReport:
+def verify_membership(f: HolderFunction, resolution: int | None = None) -> MembershipReport:
     """Sampled check of the sup bound and the order-k Holder condition."""
     resolution = resolution or _DEFAULT_RESOLUTION.get(f.spec.d, 8)
     if resolution < 2:
@@ -196,14 +189,12 @@ def verify_membership(
     values = _grid_values(f.evaluator, f.spec.d, resolution)
     sup = float(np.abs(values).max())
     quotient, witness = _worst_quotient(values, f.spec, resolution)
-    passed = sup <= 1.0 + 1e-9 and quotient <= 1.0 + tol
+    passed = sup <= 1.0 + 1e-9 and quotient <= 1.0 + MEMBERSHIP_TOL
     return MembershipReport(
         passed=passed,
         sup_norm=sup,
         worst_quotient=quotient,
         witness=None if passed else witness,
-        resolution=resolution,
-        tol=tol,
     )
 
 
@@ -296,19 +287,19 @@ def _raw_suite(spec: HolderClassSpec) -> list[HolderFunction]:
     return raws
 
 
-def _fit_into_class(raw: HolderFunction, resolution: int | None) -> HolderFunction:
-    quotient, sup = measure_constants(raw, resolution)
+def _fit_into_class(raw: HolderFunction) -> HolderFunction:
+    quotient, sup = measure_constants(raw)
     return _scaled(raw, min(1.0, _SUITE_MARGIN / max(quotient, sup, 1e-12)))
 
 
-def test_suite(spec: HolderClassSpec, resolution: int | None = None) -> list[HolderFunction]:
+def test_suite(spec: HolderClassSpec) -> list[HolderFunction]:
     """Benchmark members with closed-form integrals, rescaled into the class.
 
     The scale factor is margin / max(measured quotient, measured sup) but
     never above one, so a function whose true constant exceeds the sampled
     estimate is not pushed out of the class.
     """
-    return [_fit_into_class(raw, resolution) for raw in _raw_suite(spec)]
+    return [_fit_into_class(raw) for raw in _raw_suite(spec)]
 
 
 def _scaled(f: HolderFunction, scale: float) -> HolderFunction:
@@ -327,7 +318,7 @@ def suite_member(spec: HolderClassSpec, name: str) -> HolderFunction:
     """The named ``test_suite`` member; only that member's constants are measured."""
     for raw in _raw_suite(spec):
         if raw.name == name:
-            return _fit_into_class(raw, None)
+            return _fit_into_class(raw)
     raise KeyError(f"no suite member named {name!r} for {spec}")
 
 
@@ -388,9 +379,7 @@ def _cells_per_axis(d: int, n_bumps: int) -> int:
     raise ValueError(f"{n_bumps} bumps do not tile a {d}-cube (need an integer d-th root)")
 
 
-_HEIGHT_FACTOR_CACHE: dict[tuple[int, int, float], float] = {}
-
-
+@functools.cache
 def _poly_height_factor(spec: HolderClassSpec) -> float:
     """Largest dyadic multiple of h**(k+alpha) keeping the quotient under 0.9.
 
@@ -399,18 +388,15 @@ def _poly_height_factor(spec: HolderClassSpec) -> float:
     to every partition size, keeping single-bump integrals an exact power
     law in the bump count.
     """
-    key = (spec.d, spec.k, spec.alpha)
-    if key not in _HEIGHT_FACTOR_CACHE:
-        ell = 2
-        signs = np.array([(-1.0) ** i for i in range(ell**spec.d)])
-        base = _build_instance(spec, ell, signs, height=(1.0 / ell) ** (spec.k + spec.alpha))
-        quotient, sup = measure_constants(base.as_function())
-        target = 1.0 - 2 * MEMBERSHIP_TOL
-        factor = 2.0 ** math.floor(math.log2(target / max(quotient, 1e-12)))
-        while base.height * factor > target:
-            factor /= 2.0
-        _HEIGHT_FACTOR_CACHE[key] = factor
-    return _HEIGHT_FACTOR_CACHE[key]
+    ell = 2
+    signs = np.array([(-1.0) ** i for i in range(ell**spec.d)])
+    base = _build_instance(spec, ell, signs, height=(1.0 / ell) ** (spec.k + spec.alpha))
+    quotient, sup = measure_constants(base.as_function())
+    target = 1.0 - 2 * MEMBERSHIP_TOL
+    factor = 2.0 ** math.floor(math.log2(target / max(quotient, 1e-12)))
+    while base.height * factor > target:
+        factor /= 2.0
+    return factor
 
 
 def _build_instance(

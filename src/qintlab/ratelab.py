@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import statistics
+import sys
 import warnings
 import weakref
 from collections.abc import Callable
@@ -278,111 +279,101 @@ def fit_rate(report: ConvergenceReport) -> tuple[float, tuple[float, float]]:
 # Serialisation
 # ---------------------------------------------------------------------------
 
-CSV_HEADER = ",".join(("method,d,k,alpha,gamma,mode,budget,trial,error", *COUNTERS, "seed,requested,fn"))
+CSV_COLUMNS = (
+    "method", "d", "k", "alpha", "gamma", "mode", "budget", "trial", "error", *COUNTERS,
+    "seed", "requested", "fn",
+)
+
+
+def csv_text(columns, records) -> str:
+    """CSV with a header of ``columns``: floats through ``repr``, the rest ``str``."""
+    lines = [",".join(columns)]
+    lines += [",".join(repr(r[c]) if isinstance(r[c], float) else str(r[c]) for c in columns)
+              for r in records]
+    return "\n".join(lines) + "\n"
+
+
+def json_text(payload) -> str:
+    """JSON with one-space indents and a trailing newline."""
+    return json.dumps(payload, indent=1) + "\n"
+
+
+def write_text(text: str, path: str | None) -> None:
+    """Write ``text`` to ``path``, or to stdout when there is no path."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", newline="") as out:
+            out.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write report to {path}: {exc}") from exc
 
 
 def export(report: ConvergenceReport, fmt: str, path: str) -> None:
     """Write the report as CSV (one row per budget and trial) or JSON."""
+    head = {"method": report.method, "d": report.d, "k": report.k, "alpha": report.alpha,
+            "gamma": report.gamma, "mode": report.mode}
     if fmt == "csv":
-        _export_csv(report, path)
+        tail = {"seed": report.metadata.get("seed", 0), "fn": report.metadata.get("fn", "")}
+        text = csv_text(CSV_COLUMNS, [
+            {**head, "budget": row.budget, "trial": ti, **vars(trial), "requested": row.requested, **tail}
+            for row in report.rows
+            for ti, trial in enumerate(row.trials)
+        ])
     elif fmt == "json":
-        _export_json(report, path)
+        text = json_text({
+            **head,
+            "fitted_slope": report.fitted_slope,
+            "slope_ci": list(report.slope_ci) if report.slope_ci else None,
+            "metadata": report.metadata,
+            "rows": [
+                {"requested": row.requested, "budget": row.budget, "trials": [vars(t) for t in row.trials]}
+                for row in report.rows
+            ],
+        })
     else:
         raise ConfigurationError(f"format must be 'csv' or 'json', got {fmt!r}")
-
-
-def _export_csv(report: ConvergenceReport, path: str) -> None:
-    try:
-        out = open(path, "w", newline="")
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
-    with out:
-        out.write(CSV_HEADER + "\n")
-        seed = report.metadata.get("seed", 0)
-        fn = report.metadata.get("fn", "")
-        for row in report.rows:
-            for ti, trial in enumerate(row.trials):
-                counts = ",".join(str(getattr(trial, name)) for name in COUNTERS)
-                out.write(
-                    f"{report.method},{report.d},{report.k},{report.alpha!r},"
-                    f"{report.gamma!r},{report.mode},{row.budget},{ti},{trial.error!r},"
-                    f"{counts},{seed},{row.requested},{fn}\n"
-                )
-
-
-def _export_json(report: ConvergenceReport, path: str) -> None:
-    payload = {
-        "method": report.method,
-        "d": report.d,
-        "k": report.k,
-        "alpha": report.alpha,
-        "gamma": report.gamma,
-        "mode": report.mode,
-        "fitted_slope": report.fitted_slope,
-        "slope_ci": list(report.slope_ci) if report.slope_ci else None,
-        "metadata": report.metadata,
-        "rows": [
-            {
-                "requested": row.requested,
-                "budget": row.budget,
-                "trials": [vars(t) for t in row.trials],
-            }
-            for row in report.rows
-        ],
-    }
-    try:
-        out = open(path, "w")
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
-    with out:
-        json.dump(payload, out, indent=1)
-        out.write("\n")
+    write_text(text, path)
 
 
 def load_report(path: str, fmt: str) -> ConvergenceReport:
-    """Re-import an exported report; refitting reproduces the slope exactly."""
+    """Re-import an exported report; refitting reproduces the slope exactly.
+
+    CSVs written before the ``requested`` and ``fn`` columns still load.
+    """
     if fmt == "json":
         with open(path) as handle:
             payload = json.load(handle)
-        report = ConvergenceReport(
-            method=payload["method"],
-            d=payload["d"],
-            k=payload["k"],
-            alpha=payload["alpha"],
-            mode=payload["mode"],
-            metadata=payload["metadata"],
+        ci = payload["slope_ci"]
+        return ConvergenceReport(
+            **{key: payload[key] for key in ("method", "d", "k", "alpha", "mode", "fitted_slope", "metadata")},
+            rows=[
+                BudgetRow(row["requested"], row["budget"], [TrialRecord(**t) for t in row["trials"]])
+                for row in payload["rows"]
+            ],
+            slope_ci=tuple(ci) if ci else None,
         )
-        report.fitted_slope = payload["fitted_slope"]
-        if payload["slope_ci"]:
-            report.slope_ci = tuple(payload["slope_ci"])
-        for row in payload["rows"]:
-            report.rows.append(
-                BudgetRow(
-                    requested=row["requested"],
-                    budget=row["budget"],
-                    trials=[TrialRecord(**t) for t in row["trials"]],
-                )
-            )
-        return report
     if fmt != "csv":
         raise ConfigurationError(f"format must be 'csv' or 'json', got {fmt!r}")
-    report = None
     with open(path, newline="") as handle:
-        for record in csv.DictReader(handle):
-            if report is None:
-                report = ConvergenceReport(
-                    method=record["method"],
-                    d=int(record["d"]),
-                    k=int(record["k"]),
-                    alpha=float(record["alpha"]),
-                    mode=record["mode"],
-                    metadata={"seed": int(record["seed"]), "fn": record.get("fn")},
-                )
-            requested = int(record.get("requested") or record["budget"])
-            if not report.rows or report.rows[-1].requested != requested:
-                report.rows.append(BudgetRow(requested, int(record["budget"]), trials=[]))
-            counts = {name: int(record[name]) for name in COUNTERS}
-            report.rows[-1].trials.append(TrialRecord(error=float(record["error"]), **counts))
-    if report is None:
+        records = list(csv.DictReader(handle))
+    if not records:
         raise ConfigurationError(f"no data rows in {path}")
-    return report
+    rows: list[BudgetRow] = []
+    for record in records:
+        requested = int(record.get("requested") or record["budget"])
+        if not rows or rows[-1].requested != requested:
+            rows.append(BudgetRow(requested, int(record["budget"]), trials=[]))
+        counts = (int(record[name]) for name in COUNTERS)
+        rows[-1].trials.append(TrialRecord(float(record["error"]), *counts))
+    first = records[0]
+    return ConvergenceReport(
+        method=first["method"],
+        d=int(first["d"]),
+        k=int(first["k"]),
+        alpha=float(first["alpha"]),
+        mode=first["mode"],
+        rows=rows,
+        metadata={"seed": int(first["seed"]), "fn": first.get("fn")},
+    )

@@ -124,6 +124,24 @@ def test_integrate_rand_quantum_json(tmp_path):
     assert all(abs(r["estimate"] - 0.3) < 0.25 for r in rows)
 
 
+def test_integrate_unwritable_out_exits_one_and_names_the_path(capsys):
+    code = main(["integrate", "--method", "det", "--d", "1", "--eps1", "0.05",
+                 "--out", "/nonexistent/dir/x.csv"])
+    assert code == 1
+    assert "cannot write report to /nonexistent/dir/x.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_integrate_prints_the_bytes_it_writes(tmp_path, capsysbinary, fmt):
+    argv = ["integrate", "--method", "coin", "--d", "1", "--eps1", "0.05",
+            "--trials", "3", "--seed", "2", "--format", fmt]
+    out_file = tmp_path / f"runs.{fmt}"
+    assert main([*argv, "--out", str(out_file)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == out_file.read_bytes()
+
+
 def test_rates_command(tmp_path, capsys):
     out_file = tmp_path / "rates.csv"
     code = main(

@@ -210,6 +210,20 @@ def test_quantum_parameter_couplings_and_ledger():
     assert type(p["clipped_nodes"]) is int
 
 
+def test_quantum_clip_counts_nodes_beyond_both_ends_of_the_bound(monkeypatch):
+    # A quarter of the probe makes B half the residual's sup, so nodes fall
+    # outside [-B, B] on both sides and both ends of the clip are counted.
+    f = suite_member(SPEC1, "multiscale")
+    real = integrators.probe_sup
+    monkeypatch.setattr(integrators, "probe_sup", lambda g, resolution: real(g, resolution) / 4)
+    p = plan_quantum(f, 2**-5).parameters
+    g = residual(f, interpolate(f, p["n_points"]))
+    vals = g(cell_midpoints(np.arange(p["N"]), p["ell_N"], 1))
+    below, above = np.count_nonzero(vals < -p["B"]), np.count_nonzero(vals > p["B"])
+    assert below > 0 and above > 0
+    assert p["clipped_nodes"] == below + above
+
+
 def test_quantum_bit_mode_uses_log_factor():
     f = fn(lambda p: p[:, 0] ** 2, integral=1 / 3)
     eps1 = 2**-5

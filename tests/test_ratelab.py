@@ -279,6 +279,24 @@ def test_export_unwritable_path_mentions_path():
         export(report, "csv", "/nonexistent/dir/out.csv")
 
 
+def test_export_and_load_reject_an_unknown_format(tmp_path):
+    report = synthetic_report([4, 8, 16, 32], lambda b: 1.0 / b)
+    path = tmp_path / "report.xml"
+    with pytest.raises(ConfigurationError, match="format must be"):
+        export(report, "xml", str(path))
+    assert not path.exists()
+    export(report, "csv", str(path))
+    with pytest.raises(ConfigurationError, match="format must be"):
+        load_report(str(path), "xml")
+
+
+def test_load_report_rejects_a_header_only_csv(tmp_path):
+    path = tmp_path / "empty.csv"
+    export(ConvergenceReport(method="mc", d=1, k=0, alpha=1.0, mode="query"), "csv", str(path))
+    with pytest.raises(ConfigurationError, match="no data rows"):
+        load_report(str(path), "csv")
+
+
 def test_run_convergence_plans_once_per_row(monkeypatch):
     calls = []
     original = integrators.interpolate
