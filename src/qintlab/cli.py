@@ -125,6 +125,7 @@ def cmd_integrate(args) -> int:
         raise ratelab.ConfigurationError(f"--eps1 must be positive and finite, got {args.eps1}")
     if args.method == "rand-quantum" and not 0.0 <= args.p <= 1.0:
         raise ratelab.ConfigurationError(f"--p must lie in [0, 1], got {args.p}")
+    ratelab.check_writable(args.out)
     try:
         rows = _integrate_rows(args)
     except (OverflowError, ZeroDivisionError) as exc:
@@ -172,6 +173,7 @@ def cmd_rates(args) -> int:
         raise ratelab.ConfigurationError("rates needs a suite member with an exact integral")
     fn = holder.suite_member(spec, fn_name)
     budgets = parse_budgets(args.budgets)
+    ratelab.check_writable(args.out)
     report = ratelab.run_convergence(
         args.method, spec, budgets, args.trials, args.seed, fn, mode=args.mode
     )

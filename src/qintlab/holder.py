@@ -217,16 +217,30 @@ def _multiscale_axis(t: np.ndarray, alpha: float, base: int) -> np.ndarray:
     # its Holder quotient never accumulates across scales, and the signs
     # prevent fine-band integration errors from cancelling the active band.
     # Every point of band b has j = b + 2, so both powers of j are read from
-    # per-band tables instead of being raised once per point.
+    # per-band tables instead of being raised once per point.  The work runs
+    # in place and drops the band indices once both tables are read, so at
+    # most three arrays of t's size (all d coordinates) are alive at once.
     levels = _MULTISCALE_LAYOUT[base]
-    band = np.minimum((t * levels).astype(int), levels - 1)
     j = np.arange(2, levels + 2)
     scale = float(base) ** j
     amp = (-1.0) ** j * float(base) ** (-j * alpha)
-    tj = t * scale[band]
-    fine = amp[band] * np.abs(tj - np.round(tj))
-    coarse = 2.0 ** (1.0 - 2.0 * alpha) * np.abs(2.0 * t - np.round(2.0 * t))
-    return coarse + fine
+    band = (t * levels).astype(int)
+    np.minimum(band, levels - 1, out=band)
+    fine = scale.take(band)
+    sign = amp.take(band)
+    del band
+    fine *= t
+    rounded = np.rint(fine)
+    fine -= rounded
+    np.abs(fine, out=fine)
+    fine *= sign
+    coarse = np.multiply(t, 2.0, out=sign)
+    np.rint(coarse, out=rounded)
+    coarse -= rounded
+    np.abs(coarse, out=coarse)
+    coarse *= 2.0 ** (1.0 - 2.0 * alpha)
+    coarse += fine
+    return coarse
 
 
 def _multiscale_axis_integral(alpha: float, base: int) -> float:
@@ -252,10 +266,14 @@ def multiscale_function(spec: HolderClassSpec, base: int = 4) -> HolderFunction:
     alpha = spec.alpha
 
     def evaluator(points: np.ndarray) -> np.ndarray:
+        # Every axis has the same profile, so one call covers all the
+        # coordinates; the columns are then summed in axis order.
+        per_axis = _multiscale_axis(points.reshape(-1), alpha, base).reshape(points.shape)
         acc = np.zeros(points.shape[0])
         for axis in range(spec.d):
-            acc += _multiscale_axis(points[:, axis], alpha, base)
-        return acc / spec.d
+            acc += per_axis[:, axis]
+        acc /= spec.d
+        return acc
 
     return HolderFunction(
         evaluator,

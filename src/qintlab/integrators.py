@@ -208,10 +208,12 @@ def integrate_mc(
     """
     plan = _checked(plan, ("mc", f, samples, variance_reduced)) or plan_mc(f, samples, variance_reduced)
     ledger = _charged(ledger, plan)
+    # The generator fills its draws from one stream, so drawing the points
+    # block by block gives the same points as one draw per chunk.
+    d = f.spec.d
     total = 0.0
-    for start in range(0, samples, CHUNK):
-        batch = min(CHUNK, samples - start)
-        total += float(plan.target(rng.random((batch, f.spec.d)), ledger).sum())
+    for vals in walk(lambda pts: plan.target(pts, ledger), lambda idx: rng.random((idx.size, d)), samples):
+        total += float(vals.sum())
     return _finished(f, plan.base + total / samples, ledger, dict(plan.parameters))
 
 

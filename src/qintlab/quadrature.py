@@ -26,12 +26,17 @@ _PROBE_CAP = 1 << 22
 
 
 def cell_midpoints(indices: np.ndarray, ell: int, d: int) -> np.ndarray:
-    """Midpoints of the cells with the given C-order flat indices."""
+    """Midpoints of the cells with the given C-order flat indices below ell**d.
+
+    Below ell**d, what is left after the other axes is axis 0's cell index.
+    """
     pts = np.empty((indices.size, d))
     rem = indices
-    for axis in range(d - 1, -1, -1):
-        pts[:, axis] = (rem % ell + 0.5) / ell
-        rem = rem // ell
+    for axis in range(d - 1, 0, -1):
+        rem, pts[:, axis] = np.divmod(rem, ell)
+    pts[:, 0] = rem
+    pts += 0.5
+    pts /= ell
     return pts
 
 
@@ -56,6 +61,8 @@ def midpoint_rule(f: HolderFunction, ell: int, ledger: ResourceLedger | None = N
     if ell < 1:
         raise ValueError(f"cells per axis must be positive, got {ell}")
     n = ell**f.spec.d
+    if n > np.iinfo(np.intp).max:
+        raise OverflowError("the midpoint cell count exceeds the largest array size")
     total = 0.0
     for vals in walk(lambda pts: f(pts, ledger), lambda idx: cell_midpoints(idx, ell, f.spec.d), n):
         total += float(vals.sum())
@@ -77,7 +84,12 @@ def _nodes(ell: int, k: int, d: int):
     nloc = (k + 1) ** d
     local_mesh = np.meshgrid(*([_local_nodes(k)] * d), indexing="ij")
     offsets = np.stack([m.ravel() for m in local_mesh], axis=1) / ell
-    return lambda idx: (cell_midpoints(idx // nloc, ell, d) - 0.5 / ell) + offsets[idx % nloc]
+
+    def points(idx):
+        cell, local = np.divmod(idx, nloc)
+        return (cell_midpoints(cell, ell, d) - 0.5 / ell) + offsets[local]
+
+    return points
 
 
 def _integral_weights(k: int) -> np.ndarray:
@@ -110,13 +122,14 @@ class PiecewiseInterpolant:
         """Value of the local cell polynomial at each point; O(1) per point."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         k, d, ell = self.spec.k, self.spec.d, self.ell
-        cells = np.minimum((points * ell).astype(int), ell - 1)
-        tau = points * ell - cells
+        scaled = points * ell
+        cells = np.minimum(scaled.astype(int), ell - 1)
         flat_cell = np.ravel_multi_index(tuple(cells.T), (ell,) * d)
         if k == 0:
             # The basis is all ones: each point takes its cell's one node
             # value, plus 0.0 so that -0.0 reads 0.0 as in the one-term sum.
-            return self.node_values[flat_cell, 0] + 0.0
+            return self.node_values[:, 0].take(flat_cell) + 0.0
+        tau = scaled - cells
         basis = None
         for axis in range(d):
             powers = np.vander(tau[:, axis], k + 1, increasing=True)

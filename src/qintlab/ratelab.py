@@ -11,6 +11,7 @@ the randomness.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -298,16 +299,31 @@ def json_text(payload) -> str:
     return json.dumps(payload, indent=1) + "\n"
 
 
+@contextlib.contextmanager
+def _naming_the_report(path: str):
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(f"cannot write report to {path}: {exc}") from exc
+
+
 def write_text(text: str, path: str | None) -> None:
     """Write ``text`` to ``path``, or to stdout when there is no path."""
     if not path:
         sys.stdout.write(text)
         return
-    try:
-        with open(path, "w", newline="") as out:
-            out.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
+    with _naming_the_report(path), open(path, "w", newline="") as out:
+        out.write(text)
+
+
+def check_writable(path: str | None) -> None:
+    """Raise ``write_text``'s error now if ``path`` cannot be opened for writing.
+
+    Opened for appending: an existing file keeps its contents, a missing one is created empty.
+    """
+    if path:
+        with _naming_the_report(path), open(path, "a"):
+            pass
 
 
 def export(report: ConvergenceReport, fmt: str, path: str) -> None:
@@ -340,7 +356,8 @@ def export(report: ConvergenceReport, fmt: str, path: str) -> None:
 def load_report(path: str, fmt: str) -> ConvergenceReport:
     """Re-import an exported report; refitting reproduces the slope exactly.
 
-    CSVs written before the ``requested`` and ``fn`` columns still load.
+    CSVs written before the ``requested`` and ``fn`` columns still load,
+    with each row's measured budget as requested and an empty ``fn``.
     """
     if fmt == "json":
         with open(path) as handle:
@@ -375,5 +392,5 @@ def load_report(path: str, fmt: str) -> ConvergenceReport:
         alpha=float(first["alpha"]),
         mode=first["mode"],
         rows=rows,
-        metadata={"seed": int(first["seed"]), "fn": first.get("fn")},
+        metadata={"seed": int(first["seed"]), "fn": first.get("fn") or ""},
     )

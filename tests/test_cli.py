@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qintlab import holder, ratelab
+from qintlab import cli, holder, ratelab
 from qintlab.cli import build_parser, main, parse_budgets
 from qintlab.holder import HolderFunction, fooling_family, make_spec
 from qintlab.ratelab import ConfigurationError
@@ -193,3 +193,26 @@ def test_nan_valued_function_exits_two(monkeypatch, capsys, argv):
     monkeypatch.setattr(holder, "suite_member", nan_member)
     assert main(argv) == 2
     assert "non-finite estimate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, work", [
+    ("rates --method quantum --d 1 --budgets 2^5..2^8 --trials 2", (ratelab, "run_convergence")),
+    ("integrate --method quantum --d 1 --eps1 0.01", (cli, "_integrate_rows")),
+])
+def test_unwritable_out_fails_before_any_work(monkeypatch, capsys, argv, work):
+    def run(*args, **kwargs):
+        raise AssertionError("the run started before the output path was checked")
+
+    monkeypatch.setattr(*work, run)
+    code = main(argv.split() + ["--out", "/nonexistent/dir/x.csv"])
+    assert code == 1
+    assert "cannot write report to /nonexistent/dir/x.csv" in capsys.readouterr().err
+
+
+def test_rates_out_check_leaves_an_existing_report_alone_when_the_run_fails(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text("old\n")
+    code = main(["rates", "--method", "det", "--d", "1", "--budgets", "2^4..2^5",
+                 "--out", str(path)])
+    assert code == 2  # too few rows to fit; the report is never written
+    assert path.read_text() == "old\n"

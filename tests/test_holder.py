@@ -240,3 +240,18 @@ def test_multiscale_band_tables_match_the_per_point_formula_bitwise(alpha, base)
     expected = np.zeros(t.size)
     expected += _multiscale_axis_per_point(t, alpha, base)
     assert f.evaluator(t.reshape(-1, 1)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("base", [3, 4])
+def test_multiscale_evaluator_matches_the_per_column_loop_bitwise(d, base):
+    # One profile call per column, summed in axis order and then divided,
+    # as the evaluator did before it flattened the coordinates.
+    points = np.random.default_rng(d).random((5000, d))
+    points[:72] = np.arange(72)[:, None] / 72
+    expected = np.zeros(points.shape[0])
+    for axis in range(d):
+        expected += _multiscale_axis_per_point(points[:, axis], 0.5, base)
+    expected = expected / d
+    f = multiscale_function(make_spec(d, 0, 0.5), base)
+    assert f.evaluator(points).tobytes() == expected.tobytes()

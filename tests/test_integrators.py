@@ -527,3 +527,24 @@ def test_expectation_bernoulli_pipeline():
     assert hits >= 40
     assert ledger.quantum_queries > 0
     assert ledger.classical_evals == 0  # the model charges only oracle queries
+
+
+@pytest.mark.parametrize("variance_reduced", [False, True])
+def test_mc_blocked_samples_match_one_call_per_chunk_bitwise(variance_reduced):
+    # Each chunk's draw evaluated by one call, as before the blocking; the
+    # sample count crosses a chunk edge and ends on a partial block.
+    samples = CHUNK + quadrature.BLOCK + 3
+    f = suite_member(make_spec(2, 0, 1.0), "multiscale")
+    plan = plan_mc(f, samples, variance_reduced)
+    rng = np.random.default_rng(9)
+    ledger = ResourceLedger()
+    ledger.add(plan.charges)
+    total = 0.0
+    for start in range(0, samples, CHUNK):
+        batch = min(CHUNK, samples - start)
+        total += float(plan.target(rng.random((batch, 2)), ledger).sum())
+    former = plan.base + total / samples
+
+    result = integrate_mc(f, samples, np.random.default_rng(9), variance_reduced, plan=plan)
+    assert result.estimate.hex() == former.hex()
+    assert result.ledger == ledger

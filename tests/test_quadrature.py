@@ -228,3 +228,51 @@ def test_piecewise_constant_evaluate_matches_the_vandermonde_path_bitwise(d):
             basis[:, :, None] * axis_basis[:, None, :]).reshape(len(points), -1)
     expected = (node_values[flat_cell] * basis).sum(axis=1)
     assert p.evaluate(points).tobytes() == expected.tobytes()
+
+
+def test_midpoint_rule_refuses_a_cell_count_beyond_any_array_before_evaluating():
+    def evaluator(points):
+        raise AssertionError("evaluated before the size check")
+
+    f = fn(evaluator, spec=make_spec(2, 0, 1.0))
+    with pytest.raises(OverflowError, match="cell count"):
+        midpoint_rule(f, 2**32, ResourceLedger())
+
+
+def _cell_midpoints_former(indices, ell, d):
+    # The per-axis remainder and quotient as written before the divmod.
+    pts = np.empty((indices.size, d))
+    rem = indices
+    for axis in range(d - 1, -1, -1):
+        pts[:, axis] = (rem % ell + 0.5) / ell
+        rem = rem // ell
+    return pts
+
+
+@pytest.mark.parametrize("d, ell", [(1, 3), (1, 2**40 + 7), (2, 5), (2, 2**20 + 3), (3, 7), (3, 10**4 + 1)])
+def test_cell_midpoints_match_the_former_formula_bitwise(d, ell):
+    # Coin grids reach N of about 3.4e10, so indices run up to about 2**40.
+    n = ell**d
+    rng = np.random.default_rng(d)
+    indices = np.unique(np.concatenate([
+        np.arange(min(n, 4096)),
+        np.arange(max(0, n - 4096), n),
+        rng.integers(0, n, 4096),
+    ]))
+    got = quadrature.cell_midpoints(indices, ell, d)
+    assert got.shape == (indices.size, d)
+    assert got.tobytes() == _cell_midpoints_former(indices, ell, d).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_interpolation_nodes_match_the_former_formula_bitwise(k):
+    # The cell and local index as a quotient and a remainder, each shifted
+    # midpoint plus its local offset, as written before the divmod.
+    d, ell = 2, 37
+    nloc = (k + 1) ** d
+    local = (2 * np.arange(k + 1) + 1) / (2 * (k + 1))
+    offsets = np.stack([m.ravel() for m in np.meshgrid(local, local, indexing="ij")], axis=1) / ell
+    idx = np.arange(ell**d * nloc)
+    former = (_cell_midpoints_former(idx // nloc, ell, d) - 0.5 / ell) + offsets[idx % nloc]
+    p = PiecewiseInterpolant(make_spec(d, k, 0.5), ell, np.zeros((ell**d, nloc)))
+    assert p.node_points().tobytes() == former.tobytes()

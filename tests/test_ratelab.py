@@ -259,6 +259,14 @@ def test_csv_without_requested_and_fn_columns_still_loads(tmp_path):
     loaded = load_report(str(path), "csv")
     assert [row.requested for row in loaded.rows] == [row.budget for row in report.rows]
     assert fit_rate(loaded) == fit_rate(report)
+    # Re-exported, only the two stripped columns differ: requested reads the
+    # measured budget and fn is empty.
+    assert loaded.metadata["fn"] == ""
+    export(loaded, "csv", str(path))
+    budget = lines[0].split(",").index("budget")
+    assert path.read_text().splitlines() == [lines[0]] + [
+        line.rsplit(",", 2)[0] + f",{line.split(',')[budget]}," for line in lines[1:]
+    ]
 
 
 def test_export_identical_bytes_for_identical_config(tmp_path):
@@ -359,3 +367,4 @@ def test_recorded_trial_arguments_do_not_keep_the_plan_alive(monkeypatch, method
     gc.collect()
     with pytest.raises(ReferenceError):
         recorded[0].parameters
+
