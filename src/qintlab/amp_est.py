@@ -38,6 +38,9 @@ from .qsim import QuantumState
 # when the execution mode is left on "auto"; the simulation's time grows
 # with that product.
 AUTO_EXACT_LIMIT = 2**20
+# Largest Grover-power budget M whose outcome law is built; the law holds
+# several length-M arrays, 32 MiB each at this size.
+MAX_POWER = 2**22
 
 
 def simulates(n_padded: int, M: int) -> bool:
@@ -130,6 +133,8 @@ def _log2_power_of_two(M: int) -> int:
     t = int(M).bit_length() - 1
     if M < 2 or 2**t != M:
         raise ValueError(f"Grover-power budget must be a power of two >= 2, got {M}")
+    if M > MAX_POWER:
+        raise ValueError(f"Grover-power budget M = {M} exceeds the largest register law, M = {MAX_POWER}")
     return t
 
 

@@ -27,6 +27,7 @@ from typing import Callable
 
 import numpy as np
 
+from .grid import Grid
 from .ledger import ResourceLedger
 
 MEMBERSHIP_TOL = 0.05
@@ -68,6 +69,12 @@ class HolderFunction:
     function with a ledger charges one classical evaluation per point; the
     raw evaluator stays available for harness instrumentation that must not
     touch the cost accounting.
+
+    ``tabulate``, if given, reads the function from per-axis tables on a
+    ``Grid``: ``tabulate(grid)`` builds the tables once and returns
+    ``evaluate(columns)``, the values at the points whose ``grid.split``
+    columns are given.  They must be the doubles ``evaluator`` gives at
+    those points, bit for bit.
     """
 
     def __init__(
@@ -76,11 +83,13 @@ class HolderFunction:
         spec: HolderClassSpec,
         exact_integral: float | None = None,
         name: str = "",
+        tabulate: Callable[[Grid], Callable] | None = None,
     ):
         self.evaluator = evaluator
         self.spec = spec
         self.exact_integral = exact_integral
         self.name = name
+        self.tabulate = tabulate
 
     def __call__(self, points: np.ndarray, ledger: ResourceLedger | None = None) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -89,6 +98,27 @@ class HolderFunction:
         if ledger is not None:
             ledger.classical_evals += points.shape[0]
         return np.asarray(self.evaluator(points), dtype=float)
+
+    def on_grid(self, grid: Grid) -> Callable:
+        """``values(idx, ledger=None)``: the function at ``grid.points(idx)``.
+
+        Each call charges ``ledger`` one classical evaluation per index.  With
+        ``tabulate`` and d >= 2 the tables are built here, once, and every
+        call gathers from them; at d = 1 every coordinate is distinct, so the
+        tables would be as large as the grid and the points are evaluated.
+        """
+        if grid.d != self.spec.d:
+            raise ValueError(f"grid has dimension {grid.d}, expected {self.spec.d}")
+        if self.tabulate is None or grid.d < 2:
+            return lambda idx, ledger=None: self(grid.points(idx), ledger)
+        evaluate = self.tabulate(grid)
+
+        def values(idx: np.ndarray, ledger: ResourceLedger | None = None) -> np.ndarray:
+            if ledger is not None:
+                ledger.classical_evals += idx.size
+            return evaluate(grid.split(idx))
+
+        return values
 
     def __repr__(self):
         return f"HolderFunction({self.name or 'anonymous'}, spec={self.spec})"
@@ -110,9 +140,8 @@ class MembershipReport:
 def _grid_values(evaluator, d: int, resolution: int) -> np.ndarray:
     if resolution**d > 2**24:
         raise ValueError(f"measurement grid {resolution}^{d} too large")
-    axis = (np.arange(resolution) + 0.5) / resolution
-    mesh = np.meshgrid(*([axis] * d), indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
+    grid = Grid(resolution, d)
+    points = grid.points(np.arange(grid.size))
     return np.asarray(evaluator(points), dtype=float).reshape((resolution,) * d)
 
 
@@ -209,6 +238,35 @@ def verify_membership(f: HolderFunction, resolution: int | None = None) -> Membe
 _MULTISCALE_LAYOUT = {4: 8, 3: 9}
 
 
+def _axis_form(profile: Callable[[np.ndarray], np.ndarray], combine: str) -> Callable:
+    """``tabulate`` for a function of the d columns ``profile(x[:, axis])``.
+
+    ``combine`` is "mean" (the columns summed in axis order onto zeros, then
+    divided by d) or "prod" (multiplied in axis order), the arithmetic of
+    the member's evaluator.  ``profile`` must be elementwise; it runs once,
+    on the grid's axis coordinates.
+    """
+
+    def tabulate(grid: Grid):
+        table = profile(grid.axis())
+
+        def evaluate(columns):
+            if combine == "mean":
+                acc = np.zeros(columns[0].size)
+                for column in columns:
+                    acc += table.take(column)
+                acc /= len(columns)
+            else:
+                acc = table.take(columns[0])
+                for column in columns[1:]:
+                    acc *= table.take(column)
+            return acc
+
+        return evaluate
+
+    return tabulate
+
+
 def _multiscale_axis(t: np.ndarray, alpha: float, base: int) -> np.ndarray:
     # Band b of width 1/levels hosts the triangle wave of period base**-(b+2)
     # at its alpha-scaled amplitude and with alternating sign, on top of a
@@ -280,24 +338,31 @@ def multiscale_function(spec: HolderClassSpec, base: int = 4) -> HolderFunction:
         spec,
         exact_integral=_multiscale_axis_integral(alpha, base),
         name="multiscale" if base == 4 else f"multiscale{base}",
+        tabulate=_axis_form(lambda t: _multiscale_axis(t, alpha, base), "mean"),
     )
 
 
-def _raw_members(spec: HolderClassSpec) -> list[tuple[Callable, float, str]]:
+def _raw_members(spec: HolderClassSpec) -> list[tuple[Callable, float, str, Callable | None]]:
+    """(evaluator, integral, name, tabulate) of each smooth member."""
     d = spec.d
     return [
-        (lambda pts: np.full(pts.shape[0], 0.5), 0.5, "const-half"),
-        (lambda pts: np.prod(pts, axis=1), 0.5**d, "product"),
-        (lambda pts: np.prod(np.cos(np.pi * pts), axis=1), 0.0, "cos-product"),
-        (lambda pts: ((pts - 0.5) ** 2).mean(axis=1), 1.0 / 12.0, "quadratic"),
-        (lambda pts: np.exp(-pts.sum(axis=1)), (1.0 - math.exp(-1.0)) ** d, "exp-decay"),
+        (lambda pts: np.full(pts.shape[0], 0.5), 0.5, "const-half", None),
+        (lambda pts: np.prod(pts, axis=1), 0.5**d, "product", _axis_form(lambda t: t, "prod")),
+        (
+            lambda pts: np.prod(np.cos(np.pi * pts), axis=1),
+            0.0,
+            "cos-product",
+            _axis_form(lambda t: np.cos(np.pi * t), "prod"),
+        ),
+        (lambda pts: ((pts - 0.5) ** 2).mean(axis=1), 1.0 / 12.0, "quadratic", None),
+        (lambda pts: np.exp(-pts.sum(axis=1)), (1.0 - math.exp(-1.0)) ** d, "exp-decay", None),
     ]
 
 
 def _raw_suite(spec: HolderClassSpec) -> list[HolderFunction]:
     raws = [
-        HolderFunction(evaluator, spec, exact_integral=integral, name=name)
-        for evaluator, integral, name in _raw_members(spec)
+        HolderFunction(evaluator, spec, exact_integral=integral, name=name, tabulate=tabulate)
+        for evaluator, integral, name, tabulate in _raw_members(spec)
     ]
     if spec.k == 0:
         raws.append(multiscale_function(spec))
@@ -324,11 +389,18 @@ def _scaled(f: HolderFunction, scale: float) -> HolderFunction:
     if scale == 1.0:
         return f
     evaluator = f.evaluator
+    tabulate = None
+    if f.tabulate is not None:
+        def tabulate(grid: Grid, _t=f.tabulate, _s=scale):
+            evaluate = _t(grid)
+            return lambda columns: _s * evaluate(columns)
+
     return HolderFunction(
         lambda pts, _e=evaluator, _s=scale: _s * _e(pts),
         f.spec,
         exact_integral=None if f.exact_integral is None else scale * f.exact_integral,
         name=f.name,
+        tabulate=tabulate,
     )
 
 

@@ -10,13 +10,17 @@ stochastic or quantum budget only on the small residual
 
 Each randomized method is split into a plan and a sample.  ``plan_mc``,
 ``plan_coin`` and ``plan_quantum`` do the work that does not depend on the
-random stream: the projection, and for the quantum method the sup probe,
-the residual stream over the coupled grid and the outcome law of the
+random stream: the projection; for the coin method the residual on the
+coupled grid (``HolderFunction.on_grid``), whose per-axis tables every
+trial's draws then read; and for the quantum method the sup probe, the
+residual stream over the coupled grid and the outcome law of the
 estimation register.  That law is the simulated circuit's or the closed
 form, as ``amp_est.simulates`` decides from the register size; no argument
-overrides it.  ``integrate_mc``, ``integrate_coin`` and
-``integrate_quantum`` sample one trial from a plan: the random draws, the
-residual values they select, and the ledger charges.  Every trial's ledger
+overrides it.  A quantum plan whose coupled grid has more than
+``MAX_STREAM`` nodes raises OverflowError before streaming any of them.
+``integrate_mc``, ``integrate_coin`` and ``integrate_quantum`` sample one
+trial from a plan: the random draws, the residual values they select, and
+the ledger charges.  Every trial's ledger
 is charged the plan's classical evaluations, because each trial stands for
 a full run.  Called without a plan, an ``integrate_*`` routine builds one
 first, so a planned and a planless call on the same random stream return
@@ -33,6 +37,7 @@ single-run error bound stays below the requested precision.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,12 +47,16 @@ from . import amp_est
 # bench/tracing.py instruments them, like the quadrature names below, in this
 # module by name.
 from .amp_est import RealOracle, estimate_mean, estimate_mean_from_amplitude, median_boost  # noqa: F401
+from .grid import Grid
 from .holder import HolderClassSpec, HolderFunction
 from .ledger import ResourceLedger
-from .quadrature import CHUNK, cell_midpoints, interpolate, midpoint_rule, probe_sup, residual, walk
+from .quadrature import CHUNK, interpolate, midpoint_rule, probe_sup, residual, walk
 
 _BETA_CAP = 0.9
 _MIN_N_OVER = 4
+# Most coupled-grid nodes a quantum plan streams; at a few million nodes a
+# second on one core, this many take about a minute.
+MAX_STREAM = 1 << 28
 
 
 @dataclass
@@ -114,13 +123,13 @@ def _beta(spec: HolderClassSpec) -> float:
     return min(_BETA_CAP, raw)
 
 
-def _coupled_grid(spec: HolderClassSpec, n_points: int, eps1: float) -> tuple[int, int, float]:
-    """Discretisation grid from N**-beta ~ n**-gamma * eps1, with N >= 4n."""
+def _coupled_grid(spec: HolderClassSpec, n_points: int, eps1: float) -> tuple[Grid, float]:
+    """Discretisation grid from N**-beta ~ n**-gamma * eps1, with N >= 4n, and beta."""
     beta = _beta(spec)
     n_raw = (n_points**spec.gamma / eps1) ** (1.0 / beta)
     n_raw = max(n_raw, _MIN_N_OVER * n_points)
     ell = max(1, math.ceil(n_raw ** (1.0 / spec.d) - 1e-9))
-    return ell**spec.d, ell, beta
+    return Grid(ell, spec.d), beta
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,10 +139,12 @@ class Plan:
     ``key`` names the call the plan serves; the sampler refuses any other.
     ``charges`` holds the classical evaluations the projection spent.
     ``base`` is the projection's exact integral, ``target`` the function
-    the trials sample (the residual, or f itself for plain Monte Carlo) and
-    ``law`` the quantum register's outcome law (None for classical methods
-    and degenerate quantum runs).  ``parameters`` is copied into every
-    trial's result.
+    Monte Carlo trials sample (the residual, or f itself for plain Monte
+    Carlo), ``grid_values`` the residual on coin's coupled grid, as
+    ``HolderFunction.on_grid`` returns it, so every coin trial reads the
+    same tables, and ``law`` the quantum register's outcome law (None for
+    classical methods and degenerate quantum runs).  ``parameters`` is
+    copied into every trial's result.
     """
 
     key: tuple
@@ -141,6 +152,7 @@ class Plan:
     charges: ResourceLedger
     base: float
     target: HolderFunction | None = None
+    grid_values: Callable | None = None
     law: amp_est.OutcomeLaw | None = None
 
 
@@ -212,7 +224,7 @@ def integrate_mc(
     # block by block gives the same points as one draw per chunk.
     d = f.spec.d
     total = 0.0
-    for vals in walk(lambda pts: plan.target(pts, ledger), lambda idx: rng.random((idx.size, d)), samples):
+    for vals in walk(lambda idx: plan.target(rng.random((idx.size, d)), ledger), samples):
         total += float(vals.sum())
     return _finished(f, plan.base + total / samples, ledger, dict(plan.parameters))
 
@@ -226,18 +238,19 @@ def plan_coin(f: HolderFunction, eps1: float) -> Plan:
     log_term = math.log2(1.0 / eps1)
     n_target = max(math.ceil(log_term / eps1**2), (spec.k + 1) ** spec.d)
     proj = interpolate(f, n_target, charges)
-    n_nodes, ell_n, beta = _coupled_grid(spec, proj.n_points, eps1)
+    grid, beta = _coupled_grid(spec, proj.n_points, eps1)
     params = {
         "method": "coin",
         "eps1": eps1,
         "n_points": proj.n_points,
-        "N": n_nodes,
-        "ell_N": ell_n,
+        "N": grid.size,
+        "ell_N": grid.ell,
         "beta": beta,
         "draws": math.ceil(1.0 / eps1**2),
-        "bits_per_attempt": (n_nodes - 1).bit_length() if n_nodes > 1 else 0,
+        "bits_per_attempt": (grid.size - 1).bit_length() if grid.size > 1 else 0,
     }
-    return Plan(("coin", f, eps1), params, charges, proj.exact_integral, residual(f, proj))
+    values = residual(f, proj).on_grid(grid)
+    return Plan(("coin", f, eps1), params, charges, proj.exact_integral, grid_values=values)
 
 
 def integrate_coin(
@@ -257,17 +270,16 @@ def integrate_coin(
     plan = _checked(plan, ("coin", f, eps1)) or plan_coin(f, eps1)
     ledger = _charged(ledger, plan)
     params = dict(plan.parameters)
-    draws, ell_n = params["draws"], params["ell_N"]
+    draws = params["draws"]
     indices, params["draw_attempts"] = CoinStream(rng, ledger).draw_indices(params["N"], draws)
     total = 0.0
     for start in range(0, draws, CHUNK):
-        chunk = indices[start : start + CHUNK]
-        total += float(plan.target(cell_midpoints(chunk, ell_n, f.spec.d), ledger).sum())
+        total += float(plan.grid_values(indices[start : start + CHUNK], ledger).sum())
     return _finished(f, plan.base + total / draws, ledger, params)
 
 
-def _scaled_residual_amplitude(g, bound, n_nodes, n_padded, ell_n, d, keep):
-    """Stream the residual over all nodes: padded mean of (g + B) / 2B.
+def _scaled_residual_amplitude(g, bound, grid, n_padded, keep):
+    """Stream the residual over the grid's nodes: padded mean of (g + B) / 2B.
 
     Returns the padded amplitude, the true midpoint value of the residual,
     how many node values the bound failed to cover (clipped), and, if
@@ -277,7 +289,7 @@ def _scaled_residual_amplitude(g, bound, n_nodes, n_padded, ell_n, d, keep):
     raw_sum = 0.0
     clipped = 0
     kept = []
-    for vals in walk(g.evaluator, lambda idx: cell_midpoints(idx, ell_n, d), n_nodes):
+    for vals in walk(g.on_grid(grid), grid.size):
         raw_sum += float(vals.sum())
         # Scaled in place: walk yields a fresh array per chunk, so kept
         # chunks stay distinct.
@@ -289,7 +301,7 @@ def _scaled_residual_amplitude(g, bound, n_nodes, n_padded, ell_n, d, keep):
         if keep:
             kept.append(vals)
     values = np.concatenate(kept) if keep else None
-    return scaled_sum / n_padded, raw_sum / n_nodes, clipped, values
+    return scaled_sum / n_padded, raw_sum / grid.size, clipped, values
 
 
 def plan_quantum(f: HolderFunction, eps1: float, mode: str = "query") -> Plan:
@@ -328,12 +340,17 @@ def plan_quantum(f: HolderFunction, eps1: float, mode: str = "query") -> Plan:
         params.update({"M": 0, "B": 0.0, "degenerate": True})
         return Plan(key, params, charges, proj.exact_integral)
     bound = max(2.0 * half_bound, np.finfo(float).eps)
-    n_nodes, ell_n, beta = _coupled_grid(spec, proj.n_points, eps1)
+    grid, beta = _coupled_grid(spec, proj.n_points, eps1)
+    n_nodes = grid.size
+    if n_nodes > MAX_STREAM:
+        raise OverflowError(
+            f"the coupled grid has N = {n_nodes} nodes, more than the {MAX_STREAM} a plan streams"
+        )
     power = amp_est.smallest_power_for_error(eps1)
     n_padded = 1 << max(0, (n_nodes - 1).bit_length())
     exact = amp_est.simulates(n_padded, power)
     a_padded, residual_midpoint, clipped, values = _scaled_residual_amplitude(
-        g, bound, n_nodes, n_padded, ell_n, spec.d, keep=exact
+        g, bound, grid, n_padded, keep=exact
     )
     if exact:
         law = amp_est.outcome_law(RealOracle(values), power, "exact")
@@ -342,7 +359,7 @@ def plan_quantum(f: HolderFunction, eps1: float, mode: str = "query") -> Plan:
     params.update(
         {
             "N": n_nodes,
-            "ell_N": ell_n,
+            "ell_N": grid.ell,
             "beta": beta,
             "M": power,
             "B": bound,

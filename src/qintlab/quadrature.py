@@ -5,12 +5,19 @@ positions inside every cell of a uniform partition, so k = 0 reduces to the
 cell-midpoint sample and no node is shared between cells.  Keeping nodes
 strictly inside cells gives closed-form cell integrals and makes the node
 budget exactly (cells * (k+1)) ** d.
+
+Every rule here walks a ``Grid``: the midpoint rule and the sup probe its
+cell midpoints, the projection its interpolation nodes.  Values come from
+``HolderFunction.on_grid``, which reads an axis-separable function from
+per-axis tables at d >= 2 and charges one classical evaluation per point
+either way.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .grid import Grid
 from .holder import HolderFunction
 from .ledger import ResourceLedger
 
@@ -25,34 +32,19 @@ PROBE_OVERSAMPLE = 8
 _PROBE_CAP = 1 << 22
 
 
-def cell_midpoints(indices: np.ndarray, ell: int, d: int) -> np.ndarray:
-    """Midpoints of the cells with the given C-order flat indices below ell**d.
+def walk(values, n: int):
+    """``values`` at the positions 0..n-1, yielded CHUNK at a time.
 
-    Below ell**d, what is left after the other axes is axis 0's cell index.
-    """
-    pts = np.empty((indices.size, d))
-    rem = indices
-    for axis in range(d - 1, 0, -1):
-        rem, pts[:, axis] = np.divmod(rem, ell)
-    pts[:, 0] = rem
-    pts += 0.5
-    pts /= ell
-    return pts
-
-
-def walk(evaluate, points, n: int):
-    """Values of ``evaluate`` at positions 0..n-1, yielded CHUNK at a time.
-
-    ``points(idx)`` gives the points at the positions ``idx``, which reach
-    ``evaluate`` BLOCK at a time.  Every evaluator in the lab is pointwise,
-    so a chunk holds the same values as one call on all of it.
+    ``values(idx)`` gives the values at the positions ``idx``, BLOCK at a
+    time.  Every evaluator in the lab is pointwise, so a chunk holds the
+    same values as one call on all of it.
     """
     for start in range(0, n, CHUNK):
         stop = min(start + CHUNK, n)
         vals = np.empty(stop - start)
         for lo in range(start, stop, BLOCK):
             hi = min(lo + BLOCK, stop)
-            vals[lo - start : hi - start] = evaluate(points(np.arange(lo, hi)))
+            vals[lo - start : hi - start] = values(np.arange(lo, hi))
         yield vals
 
 
@@ -60,13 +52,12 @@ def midpoint_rule(f: HolderFunction, ell: int, ledger: ResourceLedger | None = N
     """Average of f over the ell**d cell midpoints of the uniform partition."""
     if ell < 1:
         raise ValueError(f"cells per axis must be positive, got {ell}")
-    n = ell**f.spec.d
-    if n > np.iinfo(np.intp).max:
-        raise OverflowError("the midpoint cell count exceeds the largest array size")
+    grid = Grid(ell, f.spec.d)
+    values = f.on_grid(grid)
     total = 0.0
-    for vals in walk(lambda pts: f(pts, ledger), lambda idx: cell_midpoints(idx, ell, f.spec.d), n):
+    for vals in walk(lambda idx: values(idx, ledger), grid.size):
         total += float(vals.sum())
-    return total / n
+    return total / grid.size
 
 
 def _local_nodes(k: int) -> np.ndarray:
@@ -79,17 +70,9 @@ def _vandermonde_inverse(k: int) -> np.ndarray:
     return np.linalg.inv(V)
 
 
-def _nodes(ell: int, k: int, d: int):
-    """``points`` for ``walk``: the interpolation nodes, cell-major."""
-    nloc = (k + 1) ** d
-    local_mesh = np.meshgrid(*([_local_nodes(k)] * d), indexing="ij")
-    offsets = np.stack([m.ravel() for m in local_mesh], axis=1) / ell
-
-    def points(idx):
-        cell, local = np.divmod(idx, nloc)
-        return (cell_midpoints(cell, ell, d) - 0.5 / ell) + offsets[local]
-
-    return points
+def _node_grid(ell: int, k: int, d: int) -> Grid:
+    """The interpolation nodes, cell-major."""
+    return Grid(ell, d, _local_nodes(k))
 
 
 def _integral_weights(k: int) -> np.ndarray:
@@ -142,7 +125,7 @@ class PiecewiseInterpolant:
 
     def node_points(self) -> np.ndarray:
         """All interpolation nodes, cell-major, as ``interpolate`` evaluated them."""
-        return _nodes(self.ell, self.spec.k, self.spec.d)(np.arange(self.n_points))
+        return _node_grid(self.ell, self.spec.k, self.spec.d).points(np.arange(self.n_points))
 
 
 def interpolate(
@@ -156,23 +139,30 @@ def interpolate(
     k, d = f.spec.k, f.spec.d
     per_cell = k + 1
     ell = int(n_target ** (1.0 / d) / per_cell + 1e-9)
-    # Checked before the step-down: past float precision the estimate of ell
-    # can be off by more unit steps than the loop could ever take.
-    if (per_cell * ell) ** d > np.iinfo(np.intp).max:
-        raise OverflowError("the interpolation node count exceeds the largest array size")
+    # Sized before the step-down, which raises OverflowError past the largest
+    # array: past float precision the estimate of ell can be off by more unit
+    # steps than the loop could ever take.
+    _node_grid(ell, k, d)
     while ell >= 1 and (per_cell * ell) ** d > n_target:
         ell -= 1
     if ell < 1:
         raise ValueError(f"budget {n_target} below the {per_cell ** d}-node minimum")
+    grid = _node_grid(ell, k, d)
+    values = f.on_grid(grid)
     node_values = np.empty((ell**d, per_cell**d))
     flat = node_values.reshape(-1)
-    for i, vals in enumerate(walk(lambda pts: f(pts, ledger), _nodes(ell, k, d), flat.size)):
+    for i, vals in enumerate(walk(lambda idx: values(idx, ledger), grid.size)):
         flat[i * CHUNK : i * CHUNK + vals.size] = vals
     return PiecewiseInterpolant(f.spec, ell, node_values)
 
 
 def residual(f: HolderFunction, p: PiecewiseInterpolant) -> HolderFunction:
-    """The function f - Pf; one f evaluation plus one local polynomial per point."""
+    """The function f - Pf; one f evaluation plus one local polynomial per point.
+
+    At k = 0 on a grid, Pf's cell along each axis depends on that axis's
+    coordinate alone, so a tabulated f keeps its tables: the residual reads
+    its cell index from per-axis tables too.
+    """
     if p.spec.d != f.spec.d:
         raise ValueError("interpolant and function dimensions differ")
     evaluator = f.evaluator
@@ -180,10 +170,31 @@ def residual(f: HolderFunction, p: PiecewiseInterpolant) -> HolderFunction:
     def g(points: np.ndarray) -> np.ndarray:
         return np.asarray(evaluator(points), dtype=float) - p.evaluate(points)
 
+    tabulate = None
+    if f.tabulate is not None and p.spec.k == 0:
+        def tabulate(grid: Grid):
+            f_at = f.tabulate(grid)
+            # Each axis's term of the C-order cell index that
+            # PiecewiseInterpolant.evaluate computes at a point.
+            d, ell = grid.d, p.ell
+            cells = np.minimum((grid.axis() * ell).astype(int), ell - 1)
+            terms = [cells * ell ** (d - 1 - axis) for axis in range(d)]
+            cell_values = p.node_values[:, 0]
+
+            def evaluate(columns):
+                flat_cell = terms[0].take(columns[0])
+                for term, column in zip(terms[1:], columns[1:]):
+                    flat_cell += term.take(column)
+                return f_at(columns) - (cell_values.take(flat_cell) + 0.0)
+
+            return evaluate
+
     exact = None
     if f.exact_integral is not None:
         exact = f.exact_integral - p.exact_integral
-    return HolderFunction(g, f.spec, exact_integral=exact, name=f"{f.name or 'f'}-residual")
+    return HolderFunction(
+        g, f.spec, exact_integral=exact, name=f"{f.name or 'f'}-residual", tabulate=tabulate
+    )
 
 
 def probe_sup(f: HolderFunction, cell_resolution: int) -> float:
@@ -197,8 +208,9 @@ def probe_sup(f: HolderFunction, cell_resolution: int) -> float:
     per_axis = max(2, PROBE_OVERSAMPLE * cell_resolution)
     while per_axis**d > _PROBE_CAP and per_axis > 2:
         per_axis //= 2
+    grid = Grid(per_axis, d)
     worst = 0.0
-    for vals in walk(f.evaluator, lambda idx: cell_midpoints(idx, per_axis, d), per_axis**d):
+    for vals in walk(f.on_grid(grid), grid.size):
         chunk_max = float(np.abs(vals).max())
         if not np.isfinite(chunk_max):
             raise ValueError(f"{f.name or 'function'} is not finite on the probe grid")

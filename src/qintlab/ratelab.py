@@ -93,8 +93,18 @@ def _det(fn, ell):
     return lambda rng: integrate_deterministic(fn, max(1, ell))
 
 
+def _eps_count(eps1: float, power: float, what: str) -> int:
+    """ceil(eps1 ** power), the ``what`` a ``by_eps`` map asks for, named if it overflows."""
+    try:
+        return math.ceil(eps1**power)
+    except OverflowError:
+        raise OverflowError(
+            f"the {what} eps1^{power:.4g} = 10^{power * math.log10(eps1):.1f} overflows a float"
+        ) from None
+
+
 def _det_by_eps(fn, eps1, mode):
-    n = math.ceil(eps1 ** (-1.0 / fn.spec.gamma))
+    n = _eps_count(eps1, -1.0 / fn.spec.gamma, "det cell count")
     return _det(fn, math.ceil(n ** (1.0 / fn.spec.d)))
 
 
@@ -156,13 +166,15 @@ METHODS = {
     ),
     "mc": Method(
         lambda fn, budget, mode: _mc(fn, budget),
-        lambda fn, eps1, mode: _mc(fn, math.ceil(eps1**-2)),
+        lambda fn, eps1, mode: _mc(fn, _eps_count(eps1, -2.0, "mc sample count")),
         lambda led: led.classical_evals,
     ),
     "mcvr": Method(
         lambda fn, budget, mode: _mc(fn, max(1, budget // 2), variance_reduced=True),
         lambda fn, eps1, mode: _mc(
-            fn, math.ceil(eps1 ** (-2.0 / (1.0 + 2.0 * fn.spec.gamma))), variance_reduced=True
+            fn,
+            _eps_count(eps1, -2.0 / (1.0 + 2.0 * fn.spec.gamma), "mcvr sample count"),
+            variance_reduced=True,
         ),
         lambda led: led.classical_evals,
     ),
@@ -219,7 +231,12 @@ def run_convergence(
 
     def row(bi: int, budget: int) -> BudgetRow:
         # One plan per row, released before the next row's plan is built.
-        sample = entry.by_budget(fn, budget, mode)
+        try:
+            sample = entry.by_budget(fn, budget, mode)
+        except OverflowError as exc:
+            raise ConfigurationError(
+                f"{method} budget {budget} asks for sizes that do not fit: {exc}"
+            ) from exc
         results = [sample(_trial_rng(seed, bi, ti)) for ti in range(runs)]
         records = [record(r) for r in results] * (trials // runs)
         budget_used = statistics.median_low(entry.cost(r.ledger) for r in results)

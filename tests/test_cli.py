@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qintlab import cli, holder, ratelab
+from qintlab import amp_est, cli, holder, integrators, ratelab
 from qintlab.cli import build_parser, main, parse_budgets
 from qintlab.holder import HolderFunction, fooling_family, make_spec
 from qintlab.ratelab import ConfigurationError
@@ -44,6 +44,7 @@ def test_rates_zero_budget_range_exit_code(capsys):
         ("integrate --method coin --d 1 --eps1 1e-300", "too small"),
         ("integrate --method quantum --d 1 --eps1 1e-300", "--eps1 1e-300 is too small"),
         ("integrate --method mcvr --d 1 --eps1 1e-300", "--eps1 1e-300 is too small"),
+        ("integrate --method mcvr --d 3 --eps1 1e-300", "the mcvr sample count eps1^-1.2 = 10^360.0 overflows"),
         ("integrate --method quantum --d 2 --eps1 1e-300", "--eps1 1e-300 is too small"),
         ("integrate --method rand-quantum --d 1 --eps1 0.25 --p 2", "--p must lie in"),
         ("integrate --method rand-quantum --d 1 --eps1 0.25 --p nan", "--p must lie in"),
@@ -216,3 +217,23 @@ def test_rates_out_check_leaves_an_existing_report_alone_when_the_run_fails(tmp_
                  "--out", str(path)])
     assert code == 2  # too few rows to fit; the report is never written
     assert path.read_text() == "old\n"
+
+
+def test_mean_refuses_a_register_above_the_limit_before_building_it(monkeypatch, capsys):
+    # --eps 0.01 asks for M = 512.
+    monkeypatch.setattr(amp_est, "MAX_POWER", 256)
+    assert main(["mean", "--n", "4", "--eps", "0.01", "--trials", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "M = 512 exceeds" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv, names", [
+    ("rates --method quantum --d 1 --budgets 2^5..2^8 --trials 2", ("quantum budget 128", "N = 3609 nodes")),
+    ("integrate --method quantum --d 1 --eps1 0.025", ("--eps1 0.025", "N = 3632 nodes")),
+])
+def test_quantum_runs_refuse_a_coupled_grid_above_the_stream_limit(monkeypatch, capsys, argv, names):
+    # Budgets 32 and 64 stream at most 754 nodes; the next row asks for more.
+    monkeypatch.setattr(integrators, "MAX_STREAM", 1000)
+    assert main(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in names)

@@ -26,7 +26,8 @@ from qintlab.integrators import (
     plan_quantum,
 )
 from qintlab.ledger import ResourceLedger
-from qintlab.quadrature import CHUNK, cell_midpoints, interpolate, residual
+from qintlab.grid import Grid
+from qintlab.quadrature import CHUNK, interpolate, residual
 
 SPEC1 = make_spec(1, 0, 1)
 
@@ -218,7 +219,7 @@ def test_quantum_clip_counts_nodes_beyond_both_ends_of_the_bound(monkeypatch):
     monkeypatch.setattr(integrators, "probe_sup", lambda g, resolution: real(g, resolution) / 4)
     p = plan_quantum(f, 2**-5).parameters
     g = residual(f, interpolate(f, p["n_points"]))
-    vals = g(cell_midpoints(np.arange(p["N"]), p["ell_N"], 1))
+    vals = g(Grid(p["ell_N"], 1).points(np.arange(p["N"])))
     below, above = np.count_nonzero(vals < -p["B"]), np.count_nonzero(vals > p["B"])
     assert below > 0 and above > 0
     assert p["clipped_nodes"] == below + above
@@ -265,7 +266,7 @@ def test_quantum_exact_and_analytic_modes_agree_in_law():
     assert p["sim"] == "exact"
     # Rebuild the scaled residual oracle the integrator loaded into the register.
     g = residual(f, interpolate(f, p["n_points"]))
-    vals = g.evaluator(cell_midpoints(np.arange(p["N"]), p["ell_N"], 1))
+    vals = g.evaluator(Grid(p["ell_N"], 1).points(np.arange(p["N"])))
     assert vals.mean() == pytest.approx(p["residual_midpoint_true"], abs=1e-15)
     oracle = RealOracle(np.clip((vals + p["B"]) / (2.0 * p["B"]), 0.0, 1.0))
     values_exact, law_exact = exact_estimate_distribution(oracle, p["M"])

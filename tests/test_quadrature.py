@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qintlab import quadrature
+from qintlab.grid import Grid
 from qintlab.holder import test_suite as benchmark_suite
 from qintlab.holder import HolderFunction, make_spec, suite_member
 from qintlab.ledger import ResourceLedger
@@ -259,7 +260,7 @@ def test_cell_midpoints_match_the_former_formula_bitwise(d, ell):
         np.arange(max(0, n - 4096), n),
         rng.integers(0, n, 4096),
     ]))
-    got = quadrature.cell_midpoints(indices, ell, d)
+    got = Grid(ell, d).points(indices)
     assert got.shape == (indices.size, d)
     assert got.tobytes() == _cell_midpoints_former(indices, ell, d).tobytes()
 
