@@ -103,17 +103,29 @@ class HolderFunction:
         """``values(idx, ledger=None)``: the function at ``grid.points(idx)``.
 
         Each call charges ``ledger`` one classical evaluation per index.  With
-        ``tabulate`` and d >= 2 the tables are built here, once, and every
-        call gathers from them; at d = 1 every coordinate is distinct, so the
-        tables would be as large as the grid and the points are evaluated.
+        ``tabulate`` and d >= 2, the calls evaluate the points until, with the
+        current call, they have read as many as the tables hold coordinates,
+        d * ``grid.per_axis``; then the tables are built, once, and every
+        later call gathers from them.  A rule that walks the grid reaches that
+        count within its first blocks; a few coin draws on a fine coupled grid
+        never do, and never pay for tables larger than their reads.  At d = 1
+        every coordinate is distinct, so the tables would be as large as the
+        grid and the points are always evaluated.
         """
         if grid.d != self.spec.d:
             raise ValueError(f"grid has dimension {grid.d}, expected {self.spec.d}")
         if self.tabulate is None or grid.d < 2:
             return lambda idx, ledger=None: self(grid.points(idx), ledger)
-        evaluate = self.tabulate(grid)
+        unread = grid.d * grid.per_axis
+        evaluate = None
 
         def values(idx: np.ndarray, ledger: ResourceLedger | None = None) -> np.ndarray:
+            nonlocal unread, evaluate
+            if evaluate is None:
+                unread -= idx.size
+                if unread > 0:
+                    return self(grid.points(idx), ledger)
+                evaluate = self.tabulate(grid)
             if ledger is not None:
                 ledger.classical_evals += idx.size
             return evaluate(grid.split(idx))
@@ -238,33 +250,39 @@ def verify_membership(f: HolderFunction, resolution: int | None = None) -> Membe
 _MULTISCALE_LAYOUT = {4: 8, 3: 9}
 
 
-def _axis_form(profile: Callable[[np.ndarray], np.ndarray], combine: str) -> Callable:
-    """``tabulate`` for a function of the d columns ``profile(x[:, axis])``.
+def _combine(columns: list[np.ndarray], how: str) -> np.ndarray:
+    """The d columns summed in axis order onto zeros, then divided by d
+    (``how`` "mean"), or multiplied in axis order ("prod"); inputs are kept."""
+    if how == "mean":
+        acc = np.zeros(columns[0].size)
+        for column in columns:
+            acc += column
+        acc /= len(columns)
+    else:
+        acc = np.array(columns[0])
+        for column in columns[1:]:
+            acc *= column
+    return acc
 
-    ``combine`` is "mean" (the columns summed in axis order onto zeros, then
-    divided by d) or "prod" (multiplied in axis order), the arithmetic of
-    the member's evaluator.  ``profile`` must be elementwise; it runs once,
-    on the grid's axis coordinates.
+
+def _axis_form(profile: Callable[[np.ndarray], np.ndarray], how: str) -> tuple[Callable, Callable]:
+    """(evaluator, tabulate) of the function ``_combine``-ing ``profile`` over the axes.
+
+    ``profile`` must be elementwise.  The evaluator runs it once on all the
+    coordinates of its points; ``tabulate`` runs it once on the grid's axis
+    coordinates and gathers from that table.  Both combine the same doubles
+    in the same order, so they agree bit for bit.
     """
+
+    def evaluator(points: np.ndarray) -> np.ndarray:
+        per_axis = profile(points.reshape(-1)).reshape(points.shape)
+        return _combine([per_axis[:, axis] for axis in range(points.shape[1])], how)
 
     def tabulate(grid: Grid):
         table = profile(grid.axis())
+        return lambda columns: _combine([table.take(column) for column in columns], how)
 
-        def evaluate(columns):
-            if combine == "mean":
-                acc = np.zeros(columns[0].size)
-                for column in columns:
-                    acc += table.take(column)
-                acc /= len(columns)
-            else:
-                acc = table.take(columns[0])
-                for column in columns[1:]:
-                    acc *= table.take(column)
-            return acc
-
-        return evaluate
-
-    return tabulate
+    return evaluator, tabulate
 
 
 def _multiscale_axis(t: np.ndarray, alpha: float, base: int) -> np.ndarray:
@@ -322,47 +340,32 @@ def multiscale_function(spec: HolderClassSpec, base: int = 4) -> HolderFunction:
     if base not in _MULTISCALE_LAYOUT:
         raise ValueError(f"base must be one of {sorted(_MULTISCALE_LAYOUT)}, got {base}")
     alpha = spec.alpha
-
-    def evaluator(points: np.ndarray) -> np.ndarray:
-        # Every axis has the same profile, so one call covers all the
-        # coordinates; the columns are then summed in axis order.
-        per_axis = _multiscale_axis(points.reshape(-1), alpha, base).reshape(points.shape)
-        acc = np.zeros(points.shape[0])
-        for axis in range(spec.d):
-            acc += per_axis[:, axis]
-        acc /= spec.d
-        return acc
-
+    evaluator, tabulate = _axis_form(lambda t: _multiscale_axis(t, alpha, base), "mean")
     return HolderFunction(
         evaluator,
         spec,
         exact_integral=_multiscale_axis_integral(alpha, base),
         name="multiscale" if base == 4 else f"multiscale{base}",
-        tabulate=_axis_form(lambda t: _multiscale_axis(t, alpha, base), "mean"),
+        tabulate=tabulate,
     )
 
 
-def _raw_members(spec: HolderClassSpec) -> list[tuple[Callable, float, str, Callable | None]]:
-    """(evaluator, integral, name, tabulate) of each smooth member."""
+def _raw_members(spec: HolderClassSpec) -> list[tuple[Callable, Callable | None, float, str]]:
+    """(evaluator, tabulate, integral, name) of each smooth member."""
     d = spec.d
     return [
-        (lambda pts: np.full(pts.shape[0], 0.5), 0.5, "const-half", None),
-        (lambda pts: np.prod(pts, axis=1), 0.5**d, "product", _axis_form(lambda t: t, "prod")),
-        (
-            lambda pts: np.prod(np.cos(np.pi * pts), axis=1),
-            0.0,
-            "cos-product",
-            _axis_form(lambda t: np.cos(np.pi * t), "prod"),
-        ),
-        (lambda pts: ((pts - 0.5) ** 2).mean(axis=1), 1.0 / 12.0, "quadratic", None),
-        (lambda pts: np.exp(-pts.sum(axis=1)), (1.0 - math.exp(-1.0)) ** d, "exp-decay", None),
+        (lambda pts: np.full(pts.shape[0], 0.5), None, 0.5, "const-half"),
+        (*_axis_form(lambda t: t, "prod"), 0.5**d, "product"),
+        (*_axis_form(lambda t: np.cos(np.pi * t), "prod"), 0.0, "cos-product"),
+        (lambda pts: ((pts - 0.5) ** 2).mean(axis=1), None, 1.0 / 12.0, "quadratic"),
+        (lambda pts: np.exp(-pts.sum(axis=1)), None, (1.0 - math.exp(-1.0)) ** d, "exp-decay"),
     ]
 
 
 def _raw_suite(spec: HolderClassSpec) -> list[HolderFunction]:
     raws = [
         HolderFunction(evaluator, spec, exact_integral=integral, name=name, tabulate=tabulate)
-        for evaluator, integral, name, tabulate in _raw_members(spec)
+        for evaluator, tabulate, integral, name in _raw_members(spec)
     ]
     if spec.k == 0:
         raws.append(multiscale_function(spec))

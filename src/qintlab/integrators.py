@@ -11,8 +11,9 @@ stochastic or quantum budget only on the small residual
 Each randomized method is split into a plan and a sample.  ``plan_mc``,
 ``plan_coin`` and ``plan_quantum`` do the work that does not depend on the
 random stream: the projection; for the coin method the residual on the
-coupled grid (``HolderFunction.on_grid``), whose per-axis tables every
-trial's draws then read; and for the quantum method the sup probe, the
+coupled grid (``HolderFunction.on_grid``), which all trials' draws read,
+so per-axis tables, once the draws have read as many points as the tables
+hold, are built once per row; and for the quantum method the sup probe, the
 residual stream over the coupled grid and the outcome law of the
 estimation register.  That law is the simulated circuit's or the closed
 form, as ``amp_est.simulates`` decides from the register size; no argument
@@ -141,8 +142,8 @@ class Plan:
     ``base`` is the projection's exact integral, ``target`` the function
     Monte Carlo trials sample (the residual, or f itself for plain Monte
     Carlo), ``grid_values`` the residual on coin's coupled grid, as
-    ``HolderFunction.on_grid`` returns it, so every coin trial reads the
-    same tables, and ``law`` the quantum register's outcome law (None for
+    ``HolderFunction.on_grid`` returns it, so all coin trials share its
+    tables, and ``law`` the quantum register's outcome law (None for
     classical methods and degenerate quantum runs).  ``parameters`` is
     copied into every trial's result.
     """

@@ -81,6 +81,11 @@ def _integral_weights(k: int) -> np.ndarray:
     return _vandermonde_inverse(k).T @ moments
 
 
+def _axis_cells(t: np.ndarray, ell: int) -> np.ndarray:
+    """The cell, out of ell along an axis, holding each coordinate in t."""
+    return np.minimum((t * ell).astype(int), ell - 1)
+
+
 class PiecewiseInterpolant:
     """Degree-k tensor Lagrange interpolant on a uniform ell**d partition."""
 
@@ -105,14 +110,11 @@ class PiecewiseInterpolant:
         """Value of the local cell polynomial at each point; O(1) per point."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         k, d, ell = self.spec.k, self.spec.d, self.ell
-        scaled = points * ell
-        cells = np.minimum(scaled.astype(int), ell - 1)
-        flat_cell = np.ravel_multi_index(tuple(cells.T), (ell,) * d)
+        cells = _axis_cells(points, ell)
         if k == 0:
-            # The basis is all ones: each point takes its cell's one node
-            # value, plus 0.0 so that -0.0 reads 0.0 as in the one-term sum.
-            return self.node_values[:, 0].take(flat_cell) + 0.0
-        tau = scaled - cells
+            return self.cell_constants(cells.T)
+        flat_cell = np.ravel_multi_index(tuple(cells.T), (ell,) * d)
+        tau = points * ell - cells
         basis = None
         for axis in range(d):
             powers = np.vander(tau[:, axis], k + 1, increasing=True)
@@ -122,6 +124,14 @@ class PiecewiseInterpolant:
             else:
                 basis = (basis[:, :, None] * axis_basis[:, None, :]).reshape(len(points), -1)
         return (self.node_values[flat_cell] * basis).sum(axis=1)
+
+    def cell_constants(self, axis_cells) -> np.ndarray:
+        """At k = 0, the interpolant on the cells given by their per-axis
+        indices, one array per axis, axis 0 first."""
+        flat_cell = np.ravel_multi_index(tuple(axis_cells), (self.ell,) * self.spec.d)
+        # The basis is all ones: each point takes its cell's one node value,
+        # plus 0.0 so that -0.0 reads 0.0 as in the one-term sum.
+        return self.node_values[:, 0].take(flat_cell) + 0.0
 
     def node_points(self) -> np.ndarray:
         """All interpolation nodes, cell-major, as ``interpolate`` evaluated them."""
@@ -174,20 +184,8 @@ def residual(f: HolderFunction, p: PiecewiseInterpolant) -> HolderFunction:
     if f.tabulate is not None and p.spec.k == 0:
         def tabulate(grid: Grid):
             f_at = f.tabulate(grid)
-            # Each axis's term of the C-order cell index that
-            # PiecewiseInterpolant.evaluate computes at a point.
-            d, ell = grid.d, p.ell
-            cells = np.minimum((grid.axis() * ell).astype(int), ell - 1)
-            terms = [cells * ell ** (d - 1 - axis) for axis in range(d)]
-            cell_values = p.node_values[:, 0]
-
-            def evaluate(columns):
-                flat_cell = terms[0].take(columns[0])
-                for term, column in zip(terms[1:], columns[1:]):
-                    flat_cell += term.take(column)
-                return f_at(columns) - (cell_values.take(flat_cell) + 0.0)
-
-            return evaluate
+            cells = _axis_cells(grid.axis(), p.ell)
+            return lambda columns: f_at(columns) - p.cell_constants([cells.take(c) for c in columns])
 
     exact = None
     if f.exact_integral is not None:

@@ -184,17 +184,67 @@ def test_one_dimensional_grids_evaluate_the_points(profile_calls):
     assert profile_calls == [quadrature.BLOCK, 904]
 
 
+def test_on_grid_builds_the_tables_once_the_calls_have_read_as_many_points(profile_calls):
+    f = suite_member(make_spec(2, 0, 1.0), "multiscale")
+    grid = Grid(500, 2)
+    idx = _indices(grid.size, 2)[-1000:]
+    expected = f(grid.points(idx))
+    del profile_calls[:]
+    values, ledger = f.on_grid(grid), ResourceLedger()
+    # The tables hold 2 * 500 coordinates: the first calls, 999 points in all,
+    # evaluate them; the call that reaches 1000 reads builds the tables.
+    for lo, hi in ((0, 500), (500, 999), (999, 1000), (0, 1000)):
+        assert values(idx[lo:hi], ledger).tobytes() == expected[lo:hi].tobytes()
+    assert profile_calls == [1000, 998, 500]
+    assert ledger.classical_evals == 2000
+
+
 def test_a_coin_row_builds_its_tables_once(profile_calls):
     f = suite_member(make_spec(2, 0, 1.0), "multiscale")
     eps1 = 2**-5
     del profile_calls[:]
     plan = plan_coin(f, eps1)
-    # One table for the interpolation nodes, one for the coupled grid.
-    assert len(profile_calls) == 2
-    assert profile_calls[1] == plan.parameters["ell_N"]
-    for seed in range(5):
+    # The interpolation nodes' table; the coupled grid's waits for the draws.
+    assert profile_calls == [plan.parameters["n_points"] ** 0.5]
+    draws, ell_n = plan.parameters["draws"], plan.parameters["ell_N"]
+    trials = -(-2 * ell_n // draws)
+    assert trials == 5
+    for seed in range(3 * trials):
         integrate_coin(f, eps1, np.random.default_rng(seed), plan=plan)
-    assert len(profile_calls) == 2
+    # Trials before the draws reach 2 * ell_N evaluate their points, then
+    # one table serves every later trial.
+    assert profile_calls[1:] == [2 * draws] * (trials - 1) + [ell_n]
+
+
+def test_a_few_coin_draws_on_a_fine_grid_build_no_tables(monkeypatch):
+    # At alpha = 0.3 the coupled grid has about 1.6e8 coordinates per axis,
+    # far more than a handful of trials draw: tables would take gigabytes.
+    f = suite_member(make_spec(2, 0, 0.3), "multiscale")
+    eps1 = 2**-6
+    plan = plan_coin(f, eps1)
+    assert plan.parameters["ell_N"] > 10**8 and plan.parameters["draws"] == 4096
+    real = Grid.axis
+
+    def axis(grid):
+        assert grid.per_axis < 10**6, "tabulated the coupled grid"
+        return real(grid)
+
+    monkeypatch.setattr(Grid, "axis", axis)
+    for seed in range(3):
+        result = integrate_coin(f, eps1, np.random.default_rng(seed), plan=plan)
+        assert result.ledger.classical_evals == plan.parameters["n_points"] + 4096
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_product_members_keep_their_former_evaluators_bitwise(d):
+    points = np.random.default_rng(d).random((5000, d))
+    points[:72] = np.arange(72)[:, None] / 72
+    points[72:80] = -0.0
+    spec = make_spec(d, 0, 1.0)
+    former = {"product": np.prod(points, axis=1), "cos-product": np.prod(np.cos(np.pi * points), axis=1)}
+    for raw in holder._raw_suite(spec):
+        if raw.name in former:
+            assert raw.evaluator(points).tobytes() == former[raw.name].tobytes()
 
 
 def test_quantum_plan_refuses_a_coupled_grid_above_the_stream_limit(monkeypatch):
