@@ -1,5 +1,7 @@
 """The tensor grid and the per-axis evaluation path of HolderFunction.on_grid."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -205,7 +207,7 @@ def test_a_coin_row_builds_its_tables_once(profile_calls):
     del profile_calls[:]
     plan = plan_coin(f, eps1)
     # The interpolation nodes' table; the coupled grid's waits for the draws.
-    assert profile_calls == [plan.parameters["n_points"] ** 0.5]
+    assert profile_calls == [math.isqrt(plan.parameters["n_points"])]
     draws, ell_n = plan.parameters["draws"], plan.parameters["ell_N"]
     trials = -(-2 * ell_n // draws)
     assert trials == 5
