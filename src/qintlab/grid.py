@@ -9,13 +9,13 @@ index inside the cell.
 Each coordinate of a point is one of ``per_axis`` values along its axis.
 ``axis()`` holds those values and ``split(idx)`` gives each point's position
 in it, axis by axis, so a function built from one-variable profiles can be
-read from per-axis tables.  ``axis()`` uses the arithmetic of ``points``, so
-``points(idx)[:, j]`` equals ``axis()[split(idx)[j]]`` bit for bit.
+read from per-axis tables.  ``points`` and ``axis`` share one coordinate
+function, so ``points(idx)[:, j]`` is ``axis()[split(idx)[j]]`` bit for bit.
+The grid owns the way back too: ``cell_of`` and ``cell_index``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -51,26 +51,25 @@ class Grid:
             per_axis = self.per_axis if self.per_axis < 10**15 else f"(10^{math.log10(self.per_axis):.1f})"
             raise OverflowError(f"the {kind} count {per_axis}^{d} exceeds the largest array size")
 
-    @functools.cached_property
-    def _offsets(self) -> np.ndarray:
-        # Each node's offset from its cell's corner, in the cell's local order.
-        mesh = np.meshgrid(*([self.local / self.ell] * self.d), indexing="ij")
-        return np.stack([column.ravel() for column in mesh], axis=1)
-
-    def _midpoints(self, cells: np.ndarray) -> np.ndarray:
-        pts = np.empty((cells.size, self.d))
-        for axis, digit in enumerate(_digits(cells, self.ell, self.d)):
-            pts[:, axis] = digit
-        pts += 0.5
-        pts /= self.ell
-        return pts
+    def _coordinates(self, pos: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out``, filled in place with the coordinates at the axis positions ``pos``."""
+        cell, node = (pos, None) if self.local is None else np.divmod(pos, self.nodes_per_cell)
+        np.add(cell, 0.5, out=out)
+        out /= self.ell
+        if node is not None:
+            # From the cell's midpoint back to its corner, then on to the node.
+            out -= 0.5 / self.ell
+            out += (self.local / self.ell).take(node)
+        return out
 
     def points(self, idx: np.ndarray) -> np.ndarray:
         """The (idx.size, d) points at the flat indices ``idx``."""
-        if self.local is None:
-            return self._midpoints(idx)
-        cell, local = np.divmod(idx, self.nodes_per_cell**self.d)
-        return (self._midpoints(cell) - 0.5 / self.ell) + self._offsets[local]
+        pts = np.empty((idx.size, self.d))
+        # Midpoint positions become their coordinates in place; node positions stay integers.
+        pos = pts if self.local is None else np.empty(pts.shape, dtype=np.intp)
+        for axis, column in enumerate(self.split(idx)):
+            pos[:, axis] = column
+        return self._coordinates(pos, pts)
 
     def split(self, idx: np.ndarray) -> list[np.ndarray]:
         """Each point's position in ``axis()``, one index array per axis, axis 0 first."""
@@ -82,8 +81,14 @@ class Grid:
 
     def axis(self) -> np.ndarray:
         """The ``per_axis`` distinct coordinates along every axis, in ``split`` order."""
-        mid = np.arange(self.ell) + 0.5
-        mid /= self.ell
-        if self.local is None:
-            return mid
-        return ((mid - 0.5 / self.ell)[:, None] + (self.local / self.ell)[None, :]).ravel()
+        return self._coordinates(np.arange(self.per_axis), np.empty(self.per_axis))
+
+    def cell_of(self, t: np.ndarray) -> np.ndarray:
+        """The cell along an axis that holds each coordinate in ``t``; 1.0 is in the last."""
+        cells = (t * self.ell).astype(int)
+        np.minimum(cells, self.ell - 1, out=cells)
+        return cells
+
+    def cell_index(self, axis_cells) -> np.ndarray:
+        """The C-order flat index of the cells given one index array per axis, axis 0 first."""
+        return np.ravel_multi_index(tuple(axis_cells), (self.ell,) * self.d)

@@ -206,7 +206,7 @@ def _worst_quotient(
                 worst = local_max
                 flat = int(np.argmax(quot))
                 idx = np.unravel_index(flat, base.shape)
-                x = tuple((idx[a] + 0.5) / resolution for a in range(spec.d))
+                x = tuple(Grid(resolution, spec.d).axis().take(idx))
                 y = tuple(x[a] + offset[a] * h for a in range(spec.d))
                 witness = (x, y)
     return worst, witness
@@ -285,8 +285,8 @@ def _axis_form(profile: Callable[[np.ndarray], np.ndarray], how: str) -> tuple[C
     return evaluator, tabulate
 
 
-def _multiscale_axis(t: np.ndarray, alpha: float, base: int) -> np.ndarray:
-    # Band b of width 1/levels hosts the triangle wave of period base**-(b+2)
+def _multiscale_axis(t: np.ndarray, alpha: float, base: int, bands: Grid) -> np.ndarray:
+    # Band b, cell b of ``bands``, hosts the triangle wave of period base**-(b+2)
     # at its alpha-scaled amplitude and with alternating sign, on top of a
     # global period-1/2 triangle.  Band edges and the coarse kinks sit on
     # integer multiples of every hosted period, so the profile is continuous,
@@ -296,12 +296,11 @@ def _multiscale_axis(t: np.ndarray, alpha: float, base: int) -> np.ndarray:
     # per-band tables instead of being raised once per point.  The work runs
     # in place and drops the band indices once both tables are read, so at
     # most three arrays of t's size (all d coordinates) are alive at once.
-    levels = _MULTISCALE_LAYOUT[base]
+    levels = bands.ell
     j = np.arange(2, levels + 2)
     scale = float(base) ** j
     amp = (-1.0) ** j * float(base) ** (-j * alpha)
-    band = (t * levels).astype(int)
-    np.minimum(band, levels - 1, out=band)
+    band = bands.cell_of(t)
     fine = scale.take(band)
     sign = amp.take(band)
     del band
@@ -340,7 +339,8 @@ def multiscale_function(spec: HolderClassSpec, base: int = 4) -> HolderFunction:
     if base not in _MULTISCALE_LAYOUT:
         raise ValueError(f"base must be one of {sorted(_MULTISCALE_LAYOUT)}, got {base}")
     alpha = spec.alpha
-    evaluator, tabulate = _axis_form(lambda t: _multiscale_axis(t, alpha, base), "mean")
+    bands = Grid(_MULTISCALE_LAYOUT[base], 1)
+    evaluator, tabulate = _axis_form(lambda t: _multiscale_axis(t, alpha, base, bands), "mean")
     return HolderFunction(
         evaluator,
         spec,
@@ -448,16 +448,16 @@ class FoolingInstance:
 
     def as_function(self) -> HolderFunction:
         spec = self.spec
-        ell = self.cells_per_axis
+        grid = Grid(self.cells_per_axis, spec.d)
         lambdas = self.lambdas
         height = self.height
         k = spec.k
         profile = self.profile
 
         def evaluator(points: np.ndarray) -> np.ndarray:
-            cells = np.minimum((points * ell).astype(int), ell - 1)
-            tau = points * ell - cells
-            flat = np.ravel_multi_index(tuple(cells.T), (ell,) * spec.d)
+            cells = grid.cell_of(points)
+            tau = points * grid.ell - cells
+            flat = grid.cell_index(cells.T)
             shape = _hat_profile(tau) if profile == "hat" else _poly_profile(tau, k)
             return lambdas[flat] * height * np.prod(shape, axis=1)
 
@@ -543,8 +543,8 @@ def adversarial_signs(d: int, cells_per_axis: int, quad_per_axis: int) -> tuple[
     instance as identically zero while the unsampled mass remains.  Returns
     the weight vector and the number of unsampled cells.
     """
-    nodes = (2 * np.arange(quad_per_axis) + 1) / (2 * quad_per_axis)
-    hit_axis = np.unique(np.minimum((nodes * cells_per_axis).astype(int), cells_per_axis - 1))
+    nodes = Grid(quad_per_axis, 1).axis()
+    hit_axis = np.unique(Grid(cells_per_axis, d).cell_of(nodes))
     lambdas = np.ones((cells_per_axis,) * d)
     lambdas[np.ix_(*([hit_axis] * d))] = 0.0
     flat = lambdas.ravel()

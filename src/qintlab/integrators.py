@@ -55,7 +55,9 @@ from .quadrature import CHUNK, interpolate, midpoint_rule, probe_sup, residual, 
 
 _BETA_CAP = 0.9
 _MIN_N_OVER = 4
-# Most coupled-grid nodes a quantum plan streams; at a few million nodes a
+# Most points one run evaluates: the coupled-grid nodes a quantum plan
+# streams, and, checked where ``ratelab`` builds their samplers, the det
+# rule's cells and the mc and mcvr samples.  At a few million points a
 # second on one core, this many take about a minute.
 MAX_STREAM = 1 << 28
 
@@ -79,12 +81,6 @@ class CoinStream:
     def __init__(self, rng: np.random.Generator, ledger: ResourceLedger | None = None):
         self.rng = rng
         self.ledger = ledger
-        self.bits_drawn = 0
-
-    def _count(self, bits: int) -> None:
-        self.bits_drawn += bits
-        if self.ledger is not None:
-            self.ledger.random_bits += bits
 
     def draw_indices(self, n_outcomes: int, count: int) -> tuple[np.ndarray, int]:
         """count uniform indices below n_outcomes; returns (indices, attempts).
@@ -115,7 +111,8 @@ class CoinStream:
                 accepted.append(draws[good_pos])
                 have += len(good_pos)
             attempts += used
-            self._count(bits * used)
+            if self.ledger is not None:
+                self.ledger.random_bits += bits * used
         return np.concatenate(accepted), attempts
 
 

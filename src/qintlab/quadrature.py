@@ -60,30 +60,21 @@ def midpoint_rule(f: HolderFunction, ell: int, ledger: ResourceLedger | None = N
     return total / grid.size
 
 
-def _local_nodes(k: int) -> np.ndarray:
-    return (2 * np.arange(k + 1) + 1) / (2 * (k + 1))
-
-
 def _vandermonde_inverse(k: int) -> np.ndarray:
-    tau = _local_nodes(k)
+    tau = Grid(k + 1, 1).axis()
     V = np.vander(tau, k + 1, increasing=True)
     return np.linalg.inv(V)
 
 
 def _node_grid(ell: int, k: int, d: int) -> Grid:
-    """The interpolation nodes, cell-major."""
-    return Grid(ell, d, _local_nodes(k))
+    """The interpolation nodes, cell-major: the midpoints of k + 1 equal parts of each cell."""
+    return Grid(ell, d, Grid(k + 1, 1).axis())
 
 
 def _integral_weights(k: int) -> np.ndarray:
     """Weights w with sum_i w_i p(tau_i) = int_0^1 p for every degree <= k."""
     moments = 1.0 / np.arange(1, k + 2)
     return _vandermonde_inverse(k).T @ moments
-
-
-def _axis_cells(t: np.ndarray, ell: int) -> np.ndarray:
-    """The cell, out of ell along an axis, holding each coordinate in t."""
-    return np.minimum((t * ell).astype(int), ell - 1)
 
 
 class PiecewiseInterpolant:
@@ -93,6 +84,7 @@ class PiecewiseInterpolant:
         k, d = spec.k, spec.d
         self.spec = spec
         self.ell = ell
+        self.cells = Grid(ell, d)
         self.n_points = ((k + 1) * ell) ** d
         # node_values arrives cell-major: shape (ell**d, (k+1)**d).
         self.node_values = node_values
@@ -110,10 +102,10 @@ class PiecewiseInterpolant:
         """Value of the local cell polynomial at each point; O(1) per point."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         k, d, ell = self.spec.k, self.spec.d, self.ell
-        cells = _axis_cells(points, ell)
+        cells = self.cells.cell_of(points)
         if k == 0:
             return self.cell_constants(cells.T)
-        flat_cell = np.ravel_multi_index(tuple(cells.T), (ell,) * d)
+        flat_cell = self.cells.cell_index(cells.T)
         tau = points * ell - cells
         basis = None
         for axis in range(d):
@@ -128,7 +120,7 @@ class PiecewiseInterpolant:
     def cell_constants(self, axis_cells) -> np.ndarray:
         """At k = 0, the interpolant on the cells given by their per-axis
         indices, one array per axis, axis 0 first."""
-        flat_cell = np.ravel_multi_index(tuple(axis_cells), (self.ell,) * self.spec.d)
+        flat_cell = self.cells.cell_index(axis_cells)
         # The basis is all ones: each point takes its cell's one node value,
         # plus 0.0 so that -0.0 reads 0.0 as in the one-term sum.
         return self.node_values[:, 0].take(flat_cell) + 0.0
@@ -184,7 +176,7 @@ def residual(f: HolderFunction, p: PiecewiseInterpolant) -> HolderFunction:
     if f.tabulate is not None and p.spec.k == 0:
         def tabulate(grid: Grid):
             f_at = f.tabulate(grid)
-            cells = _axis_cells(grid.axis(), p.ell)
+            cells = p.cells.cell_of(grid.axis())
             return lambda columns: f_at(columns) - p.cell_constants([cells.take(c) for c in columns])
 
     exact = None

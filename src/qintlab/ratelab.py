@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import integrators
 from .amp_est import error_bound
 from .holder import HolderClassSpec, HolderFunction
 from .integrators import (
@@ -89,8 +90,17 @@ def _trial_rng(seed: int, budget_index: int, trial_index: int) -> np.random.Gene
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def _check_count(count: int, what: str) -> None:
+    """OverflowError naming ``count``, the ``what`` a sampler asks for, past ``integrators.MAX_STREAM``."""
+    if count > integrators.MAX_STREAM:
+        shown = count if count < 10**15 else f"10^{math.log10(count):.1f}"
+        raise OverflowError(f"the {what} {shown} is more than the {integrators.MAX_STREAM} a run evaluates")
+
+
 def _det(fn, ell):
-    return lambda rng: integrate_deterministic(fn, max(1, ell))
+    ell = max(1, ell)
+    _check_count(ell**fn.spec.d, "det cell count")
+    return lambda rng: integrate_deterministic(fn, ell)
 
 
 def _eps_count(eps1: float, power: float, what: str) -> int:
@@ -115,6 +125,7 @@ def _det_by_eps(fn, eps1, mode):
 
 
 def _mc(fn, samples, variance_reduced=False):
+    _check_count(samples, "mcvr sample count" if variance_reduced else "mc sample count")
     plan = plan_mc(fn, samples, variance_reduced)
     return lambda rng: integrate_mc(
         fn, samples, rng, variance_reduced=variance_reduced, plan=weakref.proxy(plan)
@@ -124,6 +135,12 @@ def _mc(fn, samples, variance_reduced=False):
 def _coin(fn, eps1):
     plan = plan_coin(fn, eps1)
     return lambda rng: integrate_coin(fn, eps1, rng, plan=weakref.proxy(plan))
+
+
+def _coin_by_eps(fn, eps1, mode):
+    # Names the draw count where eps1^-2 overflows, before plan_coin divides by eps1**2 == 0.
+    _eps_count(eps1, -2.0, "coin draw count")
+    return _coin(fn, eps1)
 
 
 def _quantum(fn, eps1, mode):
@@ -144,7 +161,9 @@ class Method:
     ``by_budget`` serves ``qintlab rates`` and ``by_eps`` serves ``qintlab
     integrate``; both take ``(fn, budget or eps1, mode)``, build the
     method's trial-invariant plan once, and return the per-trial sampler
-    ``rng -> IntegrationResult``.  The two maps differ on purpose.
+    ``rng -> IntegrationResult``.  The two maps differ on purpose.  The
+    det, mc and mcvr maps raise OverflowError, naming the count, past
+    ``integrators.MAX_STREAM`` cells or samples, before any evaluation.
     ``cost`` reads the ledger category the rate is fitted on.  A method
     that is not randomized runs once per budget row.  Samplers look the
     ``integrate_*`` functions up in this module at call time, once per
@@ -180,7 +199,7 @@ METHODS = {
     ),
     "coin": Method(
         lambda fn, budget, mode: _coin(fn, min(0.49, budget**-0.5)),
-        lambda fn, eps1, mode: _coin(fn, eps1),
+        _coin_by_eps,
         lambda led: led.classical_evals + led.random_bits,
     ),
     "quantum": Method(

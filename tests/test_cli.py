@@ -237,3 +237,32 @@ def test_quantum_runs_refuse_a_coupled_grid_above_the_stream_limit(monkeypatch, 
     assert main(argv.split()) == 2
     err = capsys.readouterr().err
     assert all(name in err for name in names)
+
+
+@pytest.mark.parametrize("argv, names", [
+    # Budgets 16 and 32 run 16 and 32 cells; 64 cells are refused.
+    ("rates --method det --d 1 --budgets 2^4..2^6 --trials 2", ("det budget 64", "det cell count 64 ")),
+    # eps1 0.05 at gamma 1/2 asks for 20 cells per axis.
+    ("integrate --method det --d 2 --eps1 0.05", ("--eps1 0.05", "det cell count 400 ")),
+    ("rates --method mc --d 1 --budgets 2^4..2^6 --trials 2", ("mc budget 64", "mc sample count 64 ")),
+    ("integrate --method mc --d 2 --eps1 0.05", ("--eps1 0.05", "mc sample count 400 ")),
+    # mcvr spends half its budget on samples.
+    ("rates --method mcvr --d 1 --budgets 2^5..2^7 --trials 2", ("mcvr budget 128", "mcvr sample count 64 ")),
+    ("integrate --method mcvr --d 1 --eps1 0.001", ("--eps1 0.001", "mcvr sample count 100 ")),
+])
+def test_classical_runs_refuse_counts_above_the_stream_limit(monkeypatch, capsys, argv, names):
+    # Refused where the sampler is built: a det trial that raised would
+    # escape rates' size check as a traceback.
+    monkeypatch.setattr(integrators, "MAX_STREAM", 50)
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert all(name in captured.err for name in names), captured.err
+    assert "more than the 50 a run evaluates" in captured.err and captured.out == ""
+
+
+def test_coin_names_the_draw_count_that_overflows(capsys):
+    # eps1**2 underflows to zero inside the plan; the count is named first.
+    assert main("integrate --method coin --d 1 --eps1 1e-300".split()) == 2
+    err = capsys.readouterr().err
+    assert "the coin draw count eps1^-2 = 10^600.0 overflows a float" in err
+    assert "division by zero" not in err

@@ -37,6 +37,25 @@ def test_points_are_the_axis_coordinates_at_the_split_positions(d):
         assert grid.points(idx).tobytes() == expected.tobytes()
 
 
+def test_cell_lookup_clips_one_into_the_last_cell():
+    grid = Grid(6, 2)
+    t = np.array([[0.0, 1.0], [1 / 6, 5 / 6], [np.nextafter(0.5, 0.0), 0.5], [0.999, 1.0]])
+    cells = grid.cell_of(t)
+    assert cells.tolist() == [[0, 5], [1, 5], [2, 3], [5, 5]]
+    assert grid.cell_index(cells.T).tolist() == [5, 11, 15, 35]
+    # The lookup inverts the grid: every midpoint lies in its own cell.
+    idx = np.arange(grid.size)
+    assert grid.cell_index(grid.cell_of(grid.points(idx)).T).tolist() == idx.tolist()
+
+
+def test_sub_cell_midpoints_are_one_cell_grid_axes_bitwise():
+    # (2i + 1) / (2n), the node and midpoint axes as written before they
+    # moved onto Grid, is (i + 0.5) / n rounded once.
+    for n in [*range(1, 3000), 4096, 65536, 100003, 2**20]:
+        former = (2 * np.arange(n) + 1) / (2 * n)
+        assert Grid(n, 1).axis().tobytes() == former.tobytes(), n
+
+
 def test_grid_size_and_overflow():
     assert Grid(5, 3).size == 125
     assert Grid(5, 2, LOCAL[1]).size == 100
@@ -152,9 +171,9 @@ def profile_calls(monkeypatch):
     calls = []
     real = holder._multiscale_axis
 
-    def counted(t, alpha, base):
+    def counted(t, *args):
         calls.append(t.size)
-        return real(t, alpha, base)
+        return real(t, *args)
 
     monkeypatch.setattr(holder, "_multiscale_axis", counted)
     return calls

@@ -227,7 +227,8 @@ def _multiscale_axis_per_point(t, alpha, base):
 @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.3])
 def test_multiscale_band_tables_match_the_per_point_formula_bitwise(alpha, base):
     # Band edges of both layouts (multiples of 1/8 and 1/9) and their float
-    # neighbours, a midpoint grid and random points.
+    # neighbours, t = 1.0, which the band lookup clips into the last band, a
+    # midpoint grid and random points.
     edges = np.arange(73) / 72
     t = np.concatenate([
         np.random.default_rng(5).random(2**16),
@@ -255,3 +256,69 @@ def test_multiscale_evaluator_matches_the_per_column_loop_bitwise(d, base):
     expected = expected / d
     f = multiscale_function(make_spec(d, 0, 0.5), base)
     assert f.evaluator(points).tobytes() == expected.tobytes()
+
+
+def _fooling_former(instance, points):
+    # The fooling evaluator with its cell lookup written inline, as before
+    # the lookup moved onto Grid.
+    ell, d = instance.cells_per_axis, instance.spec.d
+    cells = np.minimum((points * ell).astype(int), ell - 1)
+    tau = points * ell - cells
+    flat = np.ravel_multi_index(tuple(cells.T), (ell,) * d)
+    if instance.profile == "hat":
+        shape = holder._hat_profile(tau)
+    else:
+        shape = holder._poly_profile(tau, instance.spec.k)
+    return instance.lambdas[flat] * instance.height * np.prod(shape, axis=1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1])
+def test_fooling_function_matches_the_former_cell_lookup_bitwise(d, k):
+    rng = np.random.default_rng(10 * d + k)
+    ell = {1: 9, 2: 5, 3: 3}[d]
+    instance = fooling_family(make_spec(d, k, 0.6), ell**d, rng.uniform(-1.0, 1.0, ell**d))
+    points = rng.random((3000, d))
+    # Coordinates exactly 1.0, on cell edges and at 0.0.
+    points[:40, 0] = 1.0
+    points[20:60, -1] = 1.0
+    points[60:100] = rng.integers(0, ell + 1, (40, d)) / ell
+    points[100:110] = 0.0
+    got = instance.as_function()(points)
+    assert got.tobytes() == _fooling_former(instance, points).tobytes()
+
+
+def _adversarial_signs_former(d, cells_per_axis, quad_per_axis):
+    nodes = (2 * np.arange(quad_per_axis) + 1) / (2 * quad_per_axis)
+    hit_axis = np.unique(np.minimum((nodes * cells_per_axis).astype(int), cells_per_axis - 1))
+    lambdas = np.ones((cells_per_axis,) * d)
+    lambdas[np.ix_(*([hit_axis] * d))] = 0.0
+    flat = lambdas.ravel()
+    return flat, int(flat.sum())
+
+
+@pytest.mark.parametrize("d, cells, quad, on_edges", [
+    # Every node on a cell edge: 4 cells / 2 nodes, 6 cells / 3 nodes.
+    (1, 4, 2, 2), (2, 4, 2, 2), (1, 6, 3, 3), (3, 6, 3, 3),
+    # Only the middle node on an edge.
+    (1, 16, 5, 1), (3, 4, 3, 1),
+    # No node on an edge, with fewer and with more nodes than cells.
+    (2, 7, 3, 0), (2, 5, 7, 0),
+])
+def test_adversarial_signs_match_the_former_lookup(d, cells, quad, on_edges):
+    nodes = (2 * np.arange(quad) + 1) / (2 * quad)
+    assert np.count_nonzero(nodes * cells == np.round(nodes * cells)) == on_edges
+    lambdas, unsampled = adversarial_signs(d, cells, quad)
+    former, former_unsampled = _adversarial_signs_former(d, cells, quad)
+    assert lambdas.tobytes() == former.tobytes() and unsampled == former_unsampled
+
+
+def test_membership_witness_is_a_midpoint_of_the_sampling_grid():
+    # The witness as written before it read the grid's axis: (i + 0.5) / resolution.
+    steep = HolderFunction(lambda p: 3.0 * p[:, 0] * p[:, 1], make_spec(2, 0, 1.0))
+    report = verify_membership(steep, resolution=16)
+    assert not report.passed
+    x, y = report.witness
+    cells = [round(c * 16 - 0.5) for c in x]
+    assert x == tuple((i + 0.5) / 16 for i in cells)
+    assert all(isinstance(c, np.float64) for c in x + y)

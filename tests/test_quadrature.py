@@ -265,7 +265,7 @@ def test_cell_midpoints_match_the_former_formula_bitwise(d, ell):
     assert got.tobytes() == _cell_midpoints_former(indices, ell, d).tobytes()
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2])
 def test_interpolation_nodes_match_the_former_formula_bitwise(k):
     # The cell and local index as a quotient and a remainder, each shifted
     # midpoint plus its local offset, as written before the divmod.
