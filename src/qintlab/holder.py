@@ -216,10 +216,8 @@ def measure_constants(
     f: HolderFunction, resolution: int | None = None
 ) -> tuple[float, float]:
     """Measured (worst Holder quotient, sup norm) on the sampling grid."""
-    resolution = resolution or _DEFAULT_RESOLUTION.get(f.spec.d, 8)
-    values = _grid_values(f.evaluator, f.spec.d, resolution)
-    quotient, _ = _worst_quotient(values, f.spec, resolution)
-    return quotient, float(np.abs(values).max())
+    report = verify_membership(f, resolution)
+    return report.worst_quotient, report.sup_norm
 
 
 def verify_membership(f: HolderFunction, resolution: int | None = None) -> MembershipReport:
@@ -250,37 +248,31 @@ def verify_membership(f: HolderFunction, resolution: int | None = None) -> Membe
 _MULTISCALE_LAYOUT = {4: 8, 3: 9}
 
 
-def _combine(columns: list[np.ndarray], how: str) -> np.ndarray:
-    """The d columns summed in axis order onto zeros, then divided by d
-    (``how`` "mean"), or multiplied in axis order ("prod"); inputs are kept."""
-    if how == "mean":
-        acc = np.zeros(columns[0].size)
-        for column in columns:
-            acc += column
-        acc /= len(columns)
-    else:
-        acc = np.array(columns[0])
-        for column in columns[1:]:
-            acc *= column
+def _axis_mean(columns: list[np.ndarray]) -> np.ndarray:
+    """The d columns summed in axis order onto zeros, then divided by d; inputs are kept."""
+    acc = np.zeros(columns[0].size)
+    for column in columns:
+        acc += column
+    acc /= len(columns)
     return acc
 
 
-def _axis_form(profile: Callable[[np.ndarray], np.ndarray], how: str) -> tuple[Callable, Callable]:
-    """(evaluator, tabulate) of the function ``_combine``-ing ``profile`` over the axes.
+def _axis_form(profile: Callable[[np.ndarray], np.ndarray]) -> tuple[Callable, Callable]:
+    """(evaluator, tabulate) of the mean of ``profile`` over the axes.
 
     ``profile`` must be elementwise.  The evaluator runs it once on all the
     coordinates of its points; ``tabulate`` runs it once on the grid's axis
-    coordinates and gathers from that table.  Both combine the same doubles
+    coordinates and gathers from that table.  Both average the same doubles
     in the same order, so they agree bit for bit.
     """
 
     def evaluator(points: np.ndarray) -> np.ndarray:
         per_axis = profile(points.reshape(-1)).reshape(points.shape)
-        return _combine([per_axis[:, axis] for axis in range(points.shape[1])], how)
+        return _axis_mean([per_axis[:, axis] for axis in range(points.shape[1])])
 
     def tabulate(grid: Grid):
         table = profile(grid.axis())
-        return lambda columns: _combine([table.take(column) for column in columns], how)
+        return lambda columns: _axis_mean([table.take(column) for column in columns])
 
     return evaluator, tabulate
 
@@ -340,7 +332,7 @@ def multiscale_function(spec: HolderClassSpec, base: int = 4) -> HolderFunction:
         raise ValueError(f"base must be one of {sorted(_MULTISCALE_LAYOUT)}, got {base}")
     alpha = spec.alpha
     bands = Grid(_MULTISCALE_LAYOUT[base], 1)
-    evaluator, tabulate = _axis_form(lambda t: _multiscale_axis(t, alpha, base, bands), "mean")
+    evaluator, tabulate = _axis_form(lambda t: _multiscale_axis(t, alpha, base, bands))
     return HolderFunction(
         evaluator,
         spec,
@@ -350,22 +342,14 @@ def multiscale_function(spec: HolderClassSpec, base: int = 4) -> HolderFunction:
     )
 
 
-def _raw_members(spec: HolderClassSpec) -> list[tuple[Callable, Callable | None, float, str]]:
-    """(evaluator, tabulate, integral, name) of each smooth member."""
-    d = spec.d
-    return [
-        (lambda pts: np.full(pts.shape[0], 0.5), None, 0.5, "const-half"),
-        (*_axis_form(lambda t: t, "prod"), 0.5**d, "product"),
-        (*_axis_form(lambda t: np.cos(np.pi * t), "prod"), 0.0, "cos-product"),
-        (lambda pts: ((pts - 0.5) ** 2).mean(axis=1), None, 1.0 / 12.0, "quadratic"),
-        (lambda pts: np.exp(-pts.sum(axis=1)), None, (1.0 - math.exp(-1.0)) ** d, "exp-decay"),
-    ]
-
-
 def _raw_suite(spec: HolderClassSpec) -> list[HolderFunction]:
+    d = spec.d
     raws = [
-        HolderFunction(evaluator, spec, exact_integral=integral, name=name, tabulate=tabulate)
-        for evaluator, tabulate, integral, name in _raw_members(spec)
+        HolderFunction(lambda pts: np.full(pts.shape[0], 0.5), spec, 0.5, "const-half"),
+        HolderFunction(lambda pts: np.prod(pts, axis=1), spec, 0.5**d, "product"),
+        HolderFunction(lambda pts: np.prod(np.cos(np.pi * pts), axis=1), spec, 0.0, "cos-product"),
+        HolderFunction(lambda pts: ((pts - 0.5) ** 2).mean(axis=1), spec, 1.0 / 12.0, "quadratic"),
+        HolderFunction(lambda pts: np.exp(-pts.sum(axis=1)), spec, (1.0 - math.exp(-1.0)) ** d, "exp-decay"),
     ]
     if spec.k == 0:
         raws.append(multiscale_function(spec))

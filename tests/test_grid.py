@@ -76,28 +76,57 @@ def test_measurement_grid_matches_the_former_meshgrid_bitwise():
     assert seen[0].tobytes() == former.tobytes()
 
 
-def _tabulated_members():
-    out = []
-    for d in (1, 2, 3):
-        for k, alpha in ((0, 1.0), (1, 0.5)):
-            spec = make_spec(d, k, alpha)
-            for raw in holder._raw_suite(spec):
-                if raw.tabulate is not None:
-                    out.append((d, k, alpha, raw.name))
-    return out
+# Per-axis profiles of the product members.  The suite evaluates them with
+# np.prod and builds no tables for them; the tests below give them tables,
+# multiplied in axis order as np.prod does, so the table path is also
+# checked for a second combine rule and at k = 1.
+PRODUCT_PROFILES = {"product": lambda t: t, "cos-product": lambda t: np.cos(np.pi * t)}
 
 
-MEMBERS = _tabulated_members()
+def _product_tables(profile):
+    def tabulate(grid):
+        table = profile(grid.axis())
+
+        def evaluate(columns):
+            acc = table.take(columns[0])
+            for column in columns[1:]:
+                acc *= table.take(column)
+            return acc
+
+        return evaluate
+
+    return tabulate
+
+
+def _tabulated_member(spec, name):
+    """The named suite member, with test-local tables if it is a product member."""
+    if name not in PRODUCT_PROFILES:
+        return suite_member(spec, name)
+    raw = next(raw for raw in holder._raw_suite(spec) if raw.name == name)
+    raw.tabulate = _product_tables(PRODUCT_PROFILES[name])
+    return holder._fit_into_class(raw)
+
+
+MEMBERS = [
+    (d, k, alpha, name)
+    for d in (1, 2, 3)
+    for k, alpha, names in ((0, 1.0, ["multiscale", "multiscale3"]), (1, 0.5, []))
+    for name in names + list(PRODUCT_PROFILES)
+]
 
 
 def test_every_separable_member_declares_its_axis_form():
-    names = {name for _d, _k, _a, name in MEMBERS}
-    assert names == {"multiscale", "multiscale3", "product", "cos-product"}
+    # The suite's one per-axis form is the axis mean.
+    tabulated = set()
+    for d in (1, 2, 3):
+        for k, alpha in ((0, 1.0), (1, 0.5)):
+            tabulated |= {raw.name for raw in holder._raw_suite(make_spec(d, k, alpha)) if raw.tabulate}
+    assert tabulated == {"multiscale", "multiscale3"}
 
 
 @pytest.mark.parametrize("d, k, alpha, name", MEMBERS)
 def test_on_grid_equals_the_evaluator_at_the_grid_points_bitwise(d, k, alpha, name):
-    f = suite_member(make_spec(d, k, alpha), name)
+    f = _tabulated_member(make_spec(d, k, alpha), name)
     for grid in _grids(d):
         idx = _indices(grid.size, k + d)
         expected = f(grid.points(idx))
@@ -110,7 +139,7 @@ def test_on_grid_equals_the_evaluator_at_the_grid_points_bitwise(d, k, alpha, na
 
 @pytest.mark.parametrize("d, alpha, name", [(d, a, n) for d, k, a, n in MEMBERS if k == 0])
 def test_residual_on_grid_equals_its_evaluator_bitwise(d, alpha, name):
-    f = suite_member(make_spec(d, 0, alpha), name)
+    f = _tabulated_member(make_spec(d, 0, alpha), name)
     p = interpolate(f, {1: 50, 2: 100, 3: 130}[d])
     g = residual(f, p)
     assert g.tabulate is not None
@@ -124,7 +153,8 @@ def test_residual_on_grid_equals_its_evaluator_bitwise(d, alpha, name):
 
 
 def test_residual_above_k0_keeps_the_evaluator():
-    f = suite_member(make_spec(2, 1, 0.5), "product")
+    f = _tabulated_member(make_spec(2, 1, 0.5), "product")
+    assert f.tabulate is not None
     assert residual(f, interpolate(f, 64)).tabulate is None
 
 
@@ -136,7 +166,7 @@ def _plain(f):
 @pytest.mark.parametrize("d, ell, name", [(2, 520, "multiscale"), (3, 67, "multiscale3"), (2, 520, "product")])
 def test_rules_give_the_same_results_with_and_without_tables(d, ell, name):
     # Grids larger than one chunk, so each walk crosses a chunk edge.
-    f = suite_member(make_spec(d, 0, 1.0), name)
+    f = _tabulated_member(make_spec(d, 0, 1.0), name)
     plain = _plain(f)
     assert ell**d > CHUNK and f.tabulate is not None
     ledgers = ResourceLedger(), ResourceLedger()
