@@ -87,7 +87,6 @@ class RealOracle:
         self.n_padded = 2**self.m_data
         padded = np.zeros(self.n_padded)
         padded[: self.n] = vals
-        self.values = vals
         self.padded_values = padded
 
     def padded_mean(self) -> float:

@@ -147,7 +147,7 @@ def _integrate_rows(args) -> list[dict]:
             return (rng.random(n) < args.p).astype(float)
 
         for trial in range(args.trials):
-            rng = _rng(args.seed + trial)
+            rng = ratelab.trial_rng(args.seed, 0, trial)
             ledger = integrators.ResourceLedger()
             est = integrators.expectation_randomized_quantum(
                 sampler, lambda pts: pts, args.eps1, rng, ledger=ledger
@@ -158,7 +158,7 @@ def _integrate_rows(args) -> list[dict]:
         fn = _pick_function(args, spec)
         sample = ratelab.METHODS[args.method].by_eps(fn, args.eps1, args.mode)
         for trial in range(args.trials):
-            result = sample(_rng(args.seed + trial))
+            result = sample(ratelab.trial_rng(args.seed, 0, trial))
             row = {"trial": trial, "estimate": result.estimate, **result.ledger.as_dict()}
             if fn.exact_integral is not None:
                 row["error"] = abs(result.estimate - fn.exact_integral)

@@ -51,9 +51,9 @@ class Grid:
             per_axis = self.per_axis if self.per_axis < 10**15 else f"(10^{math.log10(self.per_axis):.1f})"
             raise OverflowError(f"the {kind} count {per_axis}^{d} exceeds the largest array size")
 
-    def _coordinates(self, pos: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out``, filled in place with the coordinates at the axis positions ``pos``."""
-        cell, node = (pos, None) if self.local is None else np.divmod(pos, self.nodes_per_cell)
+    def _coordinates(self, cell: np.ndarray, node, out: np.ndarray) -> np.ndarray:
+        """``out``, filled in place with the coordinates of the nodes ``node`` in
+        the cells ``cell`` along an axis; ``node`` is None on a midpoint grid."""
         np.add(cell, 0.5, out=out)
         out /= self.ell
         if node is not None:
@@ -65,23 +65,36 @@ class Grid:
     def points(self, idx: np.ndarray) -> np.ndarray:
         """The (idx.size, d) points at the flat indices ``idx``."""
         pts = np.empty((idx.size, self.d))
-        # Midpoint positions become their coordinates in place; node positions stay integers.
-        pos = pts if self.local is None else np.empty(pts.shape, dtype=np.intp)
-        for axis, column in enumerate(self.split(idx)):
-            pos[:, axis] = column
-        return self._coordinates(pos, pts)
+        if self.local is None:
+            # Midpoint positions become their coordinates in place.
+            for axis, column in enumerate(self.split(idx)):
+                pts[:, axis] = column
+            return self._coordinates(pts, None, pts)
+        # Node grids keep each axis's cell and node apart, as their coordinates use them.
+        node = np.empty(pts.shape, dtype=np.intp)
+        for axis, (c, n) in enumerate(self._cells_and_nodes(idx)):
+            pts[:, axis] = c
+            node[:, axis] = n
+        return self._coordinates(pts, node, pts)
+
+    def _cells_and_nodes(self, idx: np.ndarray):
+        """Per axis, axis 0 first, the cell and the node in it of each point."""
+        m, d = self.nodes_per_cell, self.d
+        cell, local = np.divmod(idx, m**d)
+        return zip(_digits(cell, self.ell, d), _digits(local, m, d))
 
     def split(self, idx: np.ndarray) -> list[np.ndarray]:
         """Each point's position in ``axis()``, one index array per axis, axis 0 first."""
-        m, d = self.nodes_per_cell, self.d
+        m = self.nodes_per_cell
         if m == 1:
-            return _digits(idx, self.ell, d)
-        cell, local = np.divmod(idx, m**d)
-        return [c * m + n for c, n in zip(_digits(cell, self.ell, d), _digits(local, m, d))]
+            return _digits(idx, self.ell, self.d)
+        return [c * m + n for c, n in self._cells_and_nodes(idx)]
 
     def axis(self) -> np.ndarray:
         """The ``per_axis`` distinct coordinates along every axis, in ``split`` order."""
-        return self._coordinates(np.arange(self.per_axis), np.empty(self.per_axis))
+        pos = np.arange(self.per_axis)
+        cell, node = (pos, None) if self.local is None else np.divmod(pos, self.nodes_per_cell)
+        return self._coordinates(cell, node, np.empty(self.per_axis))
 
     def cell_of(self, t: np.ndarray) -> np.ndarray:
         """The cell along an axis that holds each coordinate in ``t``; 1.0 is in the last."""

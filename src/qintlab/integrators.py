@@ -18,7 +18,9 @@ residual stream over the coupled grid and the outcome law of the
 estimation register.  That law is the simulated circuit's or the closed
 form, as ``amp_est.simulates`` decides from the register size; no argument
 overrides it.  A quantum plan whose coupled grid has more than
-``MAX_STREAM`` nodes raises OverflowError before streaming any of them.
+``MAX_STREAM`` nodes raises OverflowError before streaming any of them; a
+coin plan whose draw count or interpolation target is larger raises it
+before the projection.
 ``integrate_mc``, ``integrate_coin`` and ``integrate_quantum`` sample one
 trial from a plan: the random draws, the residual values they select, and
 the ledger charges.  Every trial's ledger
@@ -56,10 +58,18 @@ from .quadrature import CHUNK, interpolate, midpoint_rule, probe_sup, residual, 
 _BETA_CAP = 0.9
 _MIN_N_OVER = 4
 # Most points one run evaluates: the coupled-grid nodes a quantum plan
-# streams, and, checked where ``ratelab`` builds their samplers, the det
-# rule's cells and the mc and mcvr samples.  At a few million points a
-# second on one core, this many take about a minute.
+# streams, a coin plan's draws and interpolation target, and, checked where
+# ``ratelab`` builds their samplers, the det rule's cells and the mc and
+# mcvr samples.  At a few million points a second on one core, this many
+# take about a minute.
 MAX_STREAM = 1 << 28
+
+
+def check_count(count: int, what: str) -> None:
+    """OverflowError naming ``count``, the ``what`` a run asks for, past ``MAX_STREAM``."""
+    if count > MAX_STREAM:
+        shown = count if count < 10**15 else f"10^{math.log10(count):.1f}"
+        raise OverflowError(f"the {what} {shown} is more than the {MAX_STREAM} a run evaluates")
 
 
 @dataclass
@@ -235,6 +245,9 @@ def plan_coin(f: HolderFunction, eps1: float) -> Plan:
     charges = ResourceLedger()
     log_term = math.log2(1.0 / eps1)
     n_target = max(math.ceil(log_term / eps1**2), (spec.k + 1) ** spec.d)
+    draws = math.ceil(1.0 / eps1**2)
+    check_count(draws, "coin draw count")
+    check_count(n_target, "coin interpolation target")
     proj = interpolate(f, n_target, charges)
     grid, beta = _coupled_grid(spec, proj.n_points, eps1)
     params = {
@@ -244,7 +257,7 @@ def plan_coin(f: HolderFunction, eps1: float) -> Plan:
         "N": grid.size,
         "ell_N": grid.ell,
         "beta": beta,
-        "draws": math.ceil(1.0 / eps1**2),
+        "draws": draws,
         "bits_per_attempt": (grid.size - 1).bit_length() if grid.size > 1 else 0,
     }
     values = residual(f, proj).on_grid(grid)

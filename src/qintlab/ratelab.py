@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import integrators
 from .amp_est import error_bound
 from .holder import HolderClassSpec, HolderFunction
 from .integrators import (
     IntegrationResult,
+    check_count,
     integrate_coin,
     integrate_deterministic,
     integrate_mc,
@@ -85,21 +85,15 @@ class ConvergenceReport:
         return (self.k + self.alpha) / self.d
 
 
-def _trial_rng(seed: int, budget_index: int, trial_index: int) -> np.random.Generator:
+def trial_rng(seed: int, budget_index: int, trial_index: int) -> np.random.Generator:
+    """The stream of one trial of a seeded run, split from (seed, budget row, trial)."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(budget_index, trial_index))
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _check_count(count: int, what: str) -> None:
-    """OverflowError naming ``count``, the ``what`` a sampler asks for, past ``integrators.MAX_STREAM``."""
-    if count > integrators.MAX_STREAM:
-        shown = count if count < 10**15 else f"10^{math.log10(count):.1f}"
-        raise OverflowError(f"the {what} {shown} is more than the {integrators.MAX_STREAM} a run evaluates")
-
-
 def _det(fn, ell):
     ell = max(1, ell)
-    _check_count(ell**fn.spec.d, "det cell count")
+    check_count(ell**fn.spec.d, "det cell count")
     return lambda rng: integrate_deterministic(fn, ell)
 
 
@@ -125,7 +119,7 @@ def _det_by_eps(fn, eps1, mode):
 
 
 def _mc(fn, samples, variance_reduced=False):
-    _check_count(samples, "mcvr sample count" if variance_reduced else "mc sample count")
+    check_count(samples, "mcvr sample count" if variance_reduced else "mc sample count")
     plan = plan_mc(fn, samples, variance_reduced)
     return lambda rng: integrate_mc(
         fn, samples, rng, variance_reduced=variance_reduced, plan=weakref.proxy(plan)
@@ -162,8 +156,9 @@ class Method:
     integrate``; both take ``(fn, budget or eps1, mode)``, build the
     method's trial-invariant plan once, and return the per-trial sampler
     ``rng -> IntegrationResult``.  The two maps differ on purpose.  The
-    det, mc and mcvr maps raise OverflowError, naming the count, past
-    ``integrators.MAX_STREAM`` cells or samples, before any evaluation.
+    det, mc, mcvr and coin maps raise OverflowError, naming the count, past
+    ``integrators.MAX_STREAM`` cells, samples, draws or interpolation
+    nodes, before any evaluation.
     ``cost`` reads the ledger category the rate is fitted on.  A method
     that is not randomized runs once per budget row.  Samplers look the
     ``integrate_*`` functions up in this module at call time, once per
@@ -256,7 +251,7 @@ def run_convergence(
             raise ConfigurationError(
                 f"{method} budget {budget} asks for sizes that do not fit: {exc}"
             ) from exc
-        results = [sample(_trial_rng(seed, bi, ti)) for ti in range(runs)]
+        results = [sample(trial_rng(seed, bi, ti)) for ti in range(runs)]
         records = [record(r) for r in results] * (trials // runs)
         budget_used = statistics.median_low(entry.cost(r.ledger) for r in results)
         return BudgetRow(budget, budget_used, records)

@@ -42,6 +42,7 @@ def test_rates_zero_budget_range_exit_code(capsys):
         ("integrate --method det --d 1 --eps1 1e-300", "too small"),
         ("integrate --method mc --d 1 --eps1 1e-300", "too small"),
         ("integrate --method coin --d 1 --eps1 1e-300", "too small"),
+        ("integrate --method coin --d 1 --eps1 1e-5", "the coin draw count 10000000000 is more than"),
         ("integrate --method quantum --d 1 --eps1 1e-300", "--eps1 1e-300 is too small"),
         ("integrate --method mcvr --d 1 --eps1 1e-300", "--eps1 1e-300 is too small"),
         ("integrate --method mcvr --d 3 --eps1 1e-300", "the mcvr sample count eps1^-1.2 = 10^360.0 overflows"),
@@ -123,6 +124,21 @@ def test_integrate_rand_quantum_json(tmp_path):
     rows = json.loads(out_file.read_text())
     assert len(rows) == 3
     assert all(abs(r["estimate"] - 0.3) < 0.25 for r in rows)
+
+
+def test_integrate_trials_draw_the_streams_rates_draws(tmp_path):
+    # Trial t once drew default_rng(seed + t), so --seed 1 trial 1 and
+    # --seed 2 trial 0 gave the same estimate.
+    spec = make_spec(1, 0, 1.0)
+    sample = ratelab.METHODS["mcvr"].by_eps(holder.suite_member(spec, "multiscale"), 0.05, "query")
+    runs = {}
+    for seed in (1, 2):
+        out_file = tmp_path / f"seed{seed}.json"
+        assert main(["integrate", "--method", "mcvr", "--d", "1", "--eps1", "0.05", "--trials", "2",
+                     "--seed", str(seed), "--out", str(out_file), "--format", "json"]) == 0
+        runs[seed] = [row["estimate"] for row in json.loads(out_file.read_text())]
+        assert runs[seed] == [sample(ratelab.trial_rng(seed, 0, t)).estimate for t in (0, 1)]
+    assert runs[1][1] != runs[2][0]
 
 
 def test_integrate_unwritable_out_exits_one_and_names_the_path(capsys):
@@ -249,6 +265,12 @@ def test_quantum_runs_refuse_a_coupled_grid_above_the_stream_limit(monkeypatch, 
     # mcvr spends half its budget on samples.
     ("rates --method mcvr --d 1 --budgets 2^5..2^7 --trials 2", ("mcvr budget 128", "mcvr sample count 64 ")),
     ("integrate --method mcvr --d 1 --eps1 0.001", ("--eps1 0.001", "mcvr sample count 100 ")),
+    # Coin budget 16 draws 16 times for 32 interpolation nodes; budget 32
+    # needs 80 nodes and budget 64 draws 64 times.
+    ("rates --method coin --d 1 --budgets 16,32 --trials 2", ("coin budget 32", "coin interpolation target 80 ")),
+    ("rates --method coin --d 1 --budgets 16,64 --trials 2", ("coin budget 64", "coin draw count 64 ")),
+    ("integrate --method coin --d 1 --eps1 0.2", ("--eps1 0.2", "coin interpolation target 59 ")),
+    ("integrate --method coin --d 1 --eps1 0.1", ("--eps1 0.1", "coin draw count 100 ")),
 ])
 def test_classical_runs_refuse_counts_above_the_stream_limit(monkeypatch, capsys, argv, names):
     # Refused where the sampler is built: a det trial that raised would
