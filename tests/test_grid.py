@@ -107,12 +107,8 @@ def _tabulated_member(spec, name):
     return holder._fit_into_class(raw)
 
 
-MEMBERS = [
-    (d, k, alpha, name)
-    for d in (1, 2, 3)
-    for k, alpha, names in ((0, 1.0, ["multiscale", "multiscale3"]), (1, 0.5, []))
-    for name in names + list(PRODUCT_PROFILES)
-]
+MEMBERS = [(d, 0, 1.0, name) for d in (1, 2, 3) for name in ("multiscale", "multiscale3", *PRODUCT_PROFILES)]
+MEMBERS += [(d, 1, 0.5, name) for d in (1, 2, 3) for name in PRODUCT_PROFILES]
 
 
 def test_every_separable_member_declares_its_axis_form():
