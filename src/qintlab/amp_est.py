@@ -20,13 +20,14 @@ fix the whole Gram matrix of the iterates and with it the law of the
 phase readout, so the t-qubit phase register is never stored and memory
 stays O(n).  The simulated law is ground truth for small registers, the
 closed form stays cheap when the simulation would not.  Either law is built
-once as an ``OutcomeLaw``; a run is one draw from it.
+once as an ``OutcomeLaw``, which holds its cumulative table; a run is one
+uniform and one binary search in that table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -39,7 +40,8 @@ from .qsim import QuantumState
 # with that product.
 AUTO_EXACT_LIMIT = 2**20
 # Largest Grover-power budget M whose outcome law is built; the law holds
-# several length-M arrays, 32 MiB each at this size.
+# several length-M arrays (estimates, probabilities and their cumulative
+# table), 32 MiB each at this size, for as long as the law lives.
 MAX_POWER = 2**22
 
 
@@ -111,23 +113,6 @@ def _prepared_amplitudes(oracle: RealOracle) -> np.ndarray:
     return amps
 
 
-def _amplifier(oracle: RealOracle) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """Initial vector and one application of the amplification operator.
-
-    The operator is the reflection about the prepared state composed with
-    the sign flip on the good (ancilla e_0) subspace; it is real orthogonal
-    and acts in O(dim).
-    """
-    psi = _prepared_amplitudes(oracle)
-
-    def apply(vec: np.ndarray) -> np.ndarray:
-        w = vec.copy()
-        w[0::2] *= -1.0
-        return 2.0 * (psi @ w) * psi - w
-
-    return psi, apply
-
-
 def _log2_power_of_two(M: int) -> int:
     t = int(M).bit_length() - 1
     if M < 2 or 2**t != M:
@@ -148,17 +133,22 @@ def exact_outcome_distribution(oracle: RealOracle, M: int) -> np.ndarray:
         P(y) = M**-2 * Re FFT(s)[y],  s_0 = M*c_0,
         s_D = (M - D)*c_D + D*c_(M-D) for D >= 1.
 
-    The M - 1 applications of Q run on one real vector: memory is O(n),
-    time O(n*M) plus one length-M FFT.
+    Q is the sign flip on the good (ancilla e_0) subspace followed by the
+    reflection about psi.  Its M - 1 applications run in two preallocated
+    real vectors: memory is O(n), time O(n*M) plus one length-M FFT.
     """
     _log2_power_of_two(M)
-    psi, apply = _amplifier(oracle)
+    psi = _prepared_amplitudes(oracle)
+    sign = np.ones_like(psi)
+    sign[0::2] = -1.0
+    vec, w = psi.copy(), np.empty_like(psi)
     overlaps = np.empty(M)
-    vec = psi
     for j in range(M):
         overlaps[j] = psi @ vec
         if j + 1 < M:
-            vec = apply(vec)
+            np.multiply(vec, sign, out=w)
+            np.multiply(2.0 * (psi @ w), psi, out=vec)
+            np.subtract(vec, w, out=vec)
     lag = np.arange(M)
     weights = (M - lag) * overlaps
     weights[1:] += lag[1:] * overlaps[:0:-1]
@@ -227,7 +217,10 @@ class OutcomeLaw:
 
     ``estimates[i]`` is the raw (unrescaled) estimate drawn with probability
     ``probs[i]``.  A law does not depend on the random stream, so it can be
-    built once and drawn from for every run on the same oracle.
+    built once and drawn from for every run on the same oracle.  Building it
+    checks ``probs`` as ``Generator.choice`` does and stores the cumulative
+    table ``cdf``; a run is then one uniform and one binary search in it,
+    which is ``choice``'s own draw, so outcomes match ``choice(p=probs)``.
     """
 
     estimates: np.ndarray
@@ -236,10 +229,21 @@ class OutcomeLaw:
     n: int
     n_padded: int
     mode: str
+    cdf: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        p = self.probs
+        if not np.isfinite(p).all() or (p < 0).any():
+            raise ValueError("outcome probabilities must be finite and non-negative")
+        if abs(float(p.sum()) - 1.0) > math.sqrt(np.finfo(float).eps):
+            raise ValueError("outcome probabilities do not sum to 1")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        object.__setattr__(self, "cdf", cdf)
 
     def draw(self, rng: np.random.Generator, ledger: ResourceLedger | None = None) -> MeanEstimate:
         """One run: a single outcome draw, rescaled by n_padded / n and charged."""
-        raw = float(self.estimates[rng.choice(self.probs.size, p=self.probs)])
+        raw = float(self.estimates[self.cdf.searchsorted(rng.random(), side="right")])
         _charge(ledger, self.n_padded.bit_length() - 1, self.M.bit_length() - 1, self.M)
         value = min(1.0, raw * self.n_padded / self.n)
         return MeanEstimate(value=value, queries_used=self.M, mode=self.mode)

@@ -271,8 +271,9 @@ def run_convergence(
 def fit_rate(report: ConvergenceReport) -> tuple[float, tuple[float, float]]:
     """Least-squares slope of log median error vs log budget, with 95% CI.
 
-    Rows whose median error is exactly zero (exact-integration fast paths)
-    are excluded with a warning.  The CI is a percentile bootstrap over
+    Rows whose measured budget is zero (degenerate paths that spend
+    nothing) or whose median error is exactly zero (exact-integration fast
+    paths) are excluded with a warning.  The CI is a percentile bootstrap over
     trials, seeded from the report seed so refits are bit-identical.  All
     resamples are drawn at once and their slopes come from one batched
     least-squares solve, which can round differently from one solve per
@@ -284,7 +285,9 @@ def fit_rate(report: ConvergenceReport) -> tuple[float, tuple[float, float]]:
         raise ConfigurationError(f"need at least 4 budget rows, got {len(report.rows)}")
     kept = []
     for row in report.rows:
-        if float(np.median(row.errors())) == 0.0:
+        if row.budget == 0:
+            warnings.warn(f"budget row {row.requested} has zero measured budget; excluded from fit")
+        elif float(np.median(row.errors())) == 0.0:
             warnings.warn(f"budget row {row.budget} has zero median error; excluded from fit")
         else:
             kept.append(row)

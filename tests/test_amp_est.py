@@ -7,6 +7,7 @@ import pytest
 
 from qintlab.amp_est import (
     MeanEstimate,
+    OutcomeLaw,
     RealOracle,
     amplitude_law,
     error_bound,
@@ -286,3 +287,101 @@ def test_law_estimates_and_probabilities():
         amplitude_law(0.5, 10, 12, 16)
     with pytest.raises(ValueError, match="power of two"):
         amplitude_law(0.5, 10, 16, 12)
+
+
+def _exact_law_former_loop(oracle, M):
+    # The simulated law as it was computed before its two preallocated
+    # buffers: each amplification step allocated fresh arrays.
+    psi = prepared_state(oracle).amplitudes.real.copy()
+
+    def apply(vec):
+        w = vec.copy()
+        w[0::2] *= -1.0
+        return 2.0 * (psi @ w) * psi - w
+
+    overlaps = np.empty(M)
+    vec = psi
+    for j in range(M):
+        overlaps[j] = psi @ vec
+        if j + 1 < M:
+            vec = apply(vec)
+    lag = np.arange(M)
+    weights = (M - lag) * overlaps
+    weights[1:] += lag[1:] * overlaps[:0:-1]
+    return np.fft.fft(weights).real / M**2
+
+
+@pytest.mark.parametrize("n, M", [(3, 4), (256, 256), (1024, 1024), (100, 64), (5, 2048)])
+def test_exact_law_matches_the_former_loop_bytewise(n, M):
+    oracle = RealOracle(np.random.default_rng(n + M).random(n))
+    assert exact_outcome_distribution(oracle, M).tobytes() == _exact_law_former_loop(oracle, M).tobytes()
+
+
+def _choice_law(a, M):
+    if a is None:
+        # A simulated law with zero-probability outcomes: its mass sits at
+        # y = 4 and y = 12 only.
+        return outcome_law(RealOracle([1.0, 1.0, 1.0, 1.0, 0.0]), M, "exact")
+    return amplitude_law(a, 1, 1, M)
+
+
+@pytest.mark.parametrize(
+    "a, M", [(None, 16)] + [(a, M) for a in (0.0, 0.3, 1.0) for M in (2, 64, 2048)]
+)
+def test_draws_match_generator_choice_index_for_index(a, M):
+    law = _choice_law(a, M)
+    size = law.probs.size
+    assert law.cdf[-1] == 1.0
+    # Same probabilities, each outcome labelled by its index.
+    labelled = OutcomeLaw(np.arange(size) / size, law.probs, law.M, 1, 1, law.mode)
+    for seed in range(10):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = [round(labelled.draw(rng).value * size) for _ in range(5000)]
+        # choice(size=k) searches k uniforms drawn in the order of k scalar
+        # calls, and checks p once instead of k times.
+        expected = ref.choice(size, size=5000, p=law.probs).tolist()
+        assert drawn == expected
+        # One uniform per draw: both streams stopped at the same place.
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class _Uniforms:
+    """A stand-in stream whose uniforms are given in advance."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+def test_a_uniform_on_a_table_entry_draws_the_next_outcome_with_mass():
+    # cdf = [0.25, 0.25, 0.5, 1.0]: choice's side="right" search never
+    # returns the zero-mass outcome 1 and sends u = 0.25 on to outcome 2.
+    law = OutcomeLaw(np.array([0.0, 0.25, 0.5, 0.75]), np.array([0.25, 0.0, 0.25, 0.5]), 4, 1, 1, "exact")
+    rng = _Uniforms(0.0, 0.2499, 0.25, 0.4999, 0.5, 0.75)
+    assert [law.draw(rng).value for _ in range(6)] == [0.0, 0.0, 0.5, 0.5, 0.75, 0.75]
+
+
+def test_the_table_is_normalised_so_the_largest_uniform_stays_in_range():
+    # The probabilities sum to 1 - 1e-9, inside choice's tolerance; without
+    # the normalisation the top uniform would fall past the last outcome.
+    law = OutcomeLaw(np.array([0.25, 0.75]), np.array([0.5, 0.5 - 1e-9]), 2, 1, 1, "analytic")
+    assert law.cdf[-1] == 1.0
+    assert law.draw(_Uniforms(1.0 - 2.0**-53)).value == 0.75
+    np.random.default_rng(0).choice(2, p=law.probs)  # choice accepts them too
+
+
+@pytest.mark.parametrize(
+    "probs, message",
+    [
+        ([0.5, np.nan, 0.5], "finite"),
+        ([0.5, np.inf, 0.5], "finite"),
+        ([0.6, -0.1, 0.5], "non-negative"),
+        ([0.5, 0.25, 0.5], "sum to 1"),
+        ([0.5, 0.25, 0.2], "sum to 1"),
+    ],
+)
+def test_a_law_with_invalid_probabilities_is_refused_when_built(probs, message):
+    with pytest.raises(ValueError, match=message):
+        OutcomeLaw(np.array([0.0, 0.5, 1.0]), np.array(probs), 4, 1, 1, "analytic")

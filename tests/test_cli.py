@@ -64,6 +64,19 @@ def test_out_of_range_inputs_exit_two(capsys, command, message):
     assert captured.out == ""
 
 
+def test_rates_with_only_zero_budget_rows_exits_two_without_lapack_noise(capfd):
+    # The degree-1 interpolant reproduces the product member at d = 1, so
+    # every row takes the degenerate path and spends no queries.
+    command = "rates --method quantum --d 1 --k 1 --fn product --budgets 2^5..2^8 --trials 3 --seed 4"
+    with pytest.warns(UserWarning, match="zero measured budget") as caught:
+        assert main(command.split()) == 2
+    assert [str(w.message).split()[2] for w in caught] == ["32", "64", "128", "256"]
+    captured = capfd.readouterr()
+    assert "fewer than 2 nonzero rows left to fit" in captured.err
+    assert "DLASCL" not in captured.out + captured.err
+    assert "SVD" not in captured.err
+
+
 def test_method_choices_come_from_the_table(monkeypatch):
     monkeypatch.setitem(ratelab.METHODS, "extra", ratelab.METHODS["mc"])
     parser = build_parser()

@@ -66,6 +66,14 @@ def test_fit_excludes_zero_median_rows():
     assert slope == pytest.approx(-1.0, abs=1e-9)
 
 
+def test_fit_excludes_zero_budget_rows_naming_the_requested_budget():
+    report = synthetic_report([2, 4, 8, 16, 32], lambda b: b**-1.0)
+    report.rows[0] = BudgetRow(2, 0, report.rows[0].trials)
+    with pytest.warns(UserWarning, match="budget row 2 has zero measured budget"):
+        slope, _ = fit_rate(report)
+    assert slope == pytest.approx(-1.0, abs=1e-9)
+
+
 def _bootstrap_slopes_one_fit_per_resample(report, resamples):
     # The bootstrap as it was before it was batched: one draw, one median
     # and one 1-D polyfit per resample.
