@@ -51,6 +51,8 @@ def _pick_function(args, spec) -> holder.HolderFunction:
 
 
 def cmd_grover(args) -> int:
+    if args.shots < 1:
+        raise ratelab.ConfigurationError(f"--shots must be at least 1, got {args.shots}")
     oracle = grover.BitOracle(args.m, [args.marked])
     iterations = args.k if args.k is not None else grover.default_iterations(args.m)
     state = grover.grover_state(oracle, iterations)
@@ -125,12 +127,13 @@ def cmd_integrate(args) -> int:
         raise ratelab.ConfigurationError(f"--eps1 must be positive and finite, got {args.eps1}")
     if args.method == "rand-quantum" and not 0.0 <= args.p <= 1.0:
         raise ratelab.ConfigurationError(f"--p must lie in [0, 1], got {args.p}")
+    if args.fool_bumps < 1:
+        raise ratelab.ConfigurationError(f"--fool-bumps must be at least 1, got {args.fool_bumps}")
     ratelab.check_writable(args.out)
     try:
         rows = _integrate_rows(args)
-    except (OverflowError, ZeroDivisionError) as exc:
-        # Sizes grow like powers of 1/eps1; far below any usable precision
-        # they overflow, or the powers of eps1 underflow to zero.
+    except OverflowError as exc:
+        # Sizes grow like powers of 1/eps1; far below any usable precision they overflow.
         raise ratelab.ConfigurationError(
             f"--eps1 {args.eps1} is too small: the sizes it asks for do not fit ({exc})"
         ) from exc

@@ -226,6 +226,8 @@ def verify_membership(f: HolderFunction, resolution: int | None = None) -> Membe
     if resolution < 2:
         raise ValueError("need at least 2 grid points per axis")
     values = _grid_values(f.evaluator, f.spec.d, resolution)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{f.name or 'function'} is not finite on the measurement grid")
     sup = float(np.abs(values).max())
     quotient, witness = _worst_quotient(values, f.spec, resolution)
     passed = sup <= 1.0 + 1e-9 and quotient <= 1.0 + MEMBERSHIP_TOL
@@ -505,7 +507,10 @@ def fooling_family(
     Heights scale as the (k + alpha)-th power of the cell edge, so the
     single-bump integral is proportional to n**-(1 + gamma) and the weighted
     sum stays inside the class for any sign vector bounded by one.
+    ``c_geom`` scales the heights and must be positive and finite.
     """
+    if not 0.0 < c_geom < math.inf:
+        raise ValueError(f"c_geom must be positive and finite, got {c_geom}")
     ell = _cells_per_axis(spec.d, n_bumps)
     lambdas = np.asarray(signs, dtype=float)
     if lambdas.shape != (n_bumps,):

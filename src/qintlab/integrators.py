@@ -17,10 +17,11 @@ hold, are built once per row; and for the quantum method the sup probe, the
 residual stream over the coupled grid and the outcome law of the
 estimation register.  That law is the simulated circuit's or the closed
 form, as ``amp_est.simulates`` decides from the register size; no argument
-overrides it.  A quantum plan whose coupled grid has more than
-``MAX_STREAM`` nodes raises OverflowError before streaming any of them; a
-coin plan whose draw count or interpolation target is larger raises it
-before the projection.
+overrides it.  Every size bound is checked in this module before the work
+it bounds: ``check_count`` refuses det cells, mc and mcvr samples, coin draws
+and interpolation targets, coupled-grid nodes and randomized quantum samples
+past ``MAX_STREAM``, and ``eps_count`` names a precision's power that
+overflows a float; both raise OverflowError naming the count.
 ``integrate_mc``, ``integrate_coin`` and ``integrate_quantum`` sample one
 trial from a plan: the random draws, the residual values they select, and
 the ledger charges.  Every trial's ledger
@@ -57,11 +58,9 @@ from .quadrature import CHUNK, interpolate, midpoint_rule, probe_sup, residual, 
 
 _BETA_CAP = 0.9
 _MIN_N_OVER = 4
-# Most points one run evaluates: the coupled-grid nodes a quantum plan
-# streams, a coin plan's draws and interpolation target, and, checked where
-# ``ratelab`` builds their samplers, the det rule's cells and the mc and
-# mcvr samples.  At a few million points a second on one core, this many
-# take about a minute.
+# Most points one run evaluates, for every method; ``check_count`` in this
+# module is the only reader.  At a few million points a second on one core,
+# this many take about a minute.
 MAX_STREAM = 1 << 28
 
 
@@ -70,6 +69,16 @@ def check_count(count: int, what: str) -> None:
     if count > MAX_STREAM:
         shown = count if count < 10**15 else f"10^{math.log10(count):.1f}"
         raise OverflowError(f"the {what} {shown} is more than the {MAX_STREAM} a run evaluates")
+
+
+def eps_count(eps1: float, power: float, what: str) -> int:
+    """ceil(eps1 ** power), the ``what`` a precision asks for, named if it overflows."""
+    try:
+        return math.ceil(eps1**power)
+    except OverflowError:
+        raise OverflowError(
+            f"the {what} eps1^{power:.4g} = 10^{power * math.log10(eps1):.1f} overflows a float"
+        ) from None
 
 
 @dataclass
@@ -134,7 +143,16 @@ def _beta(spec: HolderClassSpec) -> float:
 def _coupled_grid(spec: HolderClassSpec, n_points: int, eps1: float) -> tuple[Grid, float]:
     """Discretisation grid from N**-beta ~ n**-gamma * eps1, with N >= 4n, and beta."""
     beta = _beta(spec)
-    n_raw = (n_points**spec.gamma / eps1) ** (1.0 / beta)
+    try:
+        n_raw = (n_points**spec.gamma / eps1) ** (1.0 / beta)
+    except OverflowError:
+        # The exponent 1/beta comes from the class, and at a beta this small
+        # the grid overflows at any usable eps1: not a size that eps1 asks for.
+        exponent = (spec.gamma * math.log10(n_points) - math.log10(eps1)) / beta
+        raise ValueError(
+            f"the coupled grid size (n^gamma/eps1)^(1/beta) = 10^{exponent:.1f} overflows a float: "
+            f"the class's beta = {beta:.4g} is too small"
+        ) from None
     n_raw = max(n_raw, _MIN_N_OVER * n_points)
     ell = max(1, math.ceil(n_raw ** (1.0 / spec.d) - 1e-9))
     return Grid(ell, spec.d), beta
@@ -191,6 +209,7 @@ def integrate_deterministic(
     f: HolderFunction, ell: int, ledger: ResourceLedger | None = None
 ) -> IntegrationResult:
     """Tensor midpoint rule on an ell-per-axis partition; ell**d evaluations."""
+    check_count(ell**f.spec.d, "det cell count")
     ledger = ledger if ledger is not None else ResourceLedger()
     estimate = midpoint_rule(f, ell, ledger)
     return _finished(f, estimate, ledger, {"method": "det", "ell": ell, "n": ell**f.spec.d})
@@ -200,6 +219,7 @@ def plan_mc(f: HolderFunction, samples: int, variance_reduced: bool = False) -> 
     """Monte Carlo plan: the projection on roughly ``samples`` nodes, if variance-reduced."""
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
+    check_count(samples, "mcvr sample count" if variance_reduced else "mc sample count")
     key = ("mc", f, samples, variance_reduced)
     params: dict = {"method": "mcvr" if variance_reduced else "mc", "samples": samples}
     charges = ResourceLedger()
@@ -242,6 +262,8 @@ def plan_coin(f: HolderFunction, eps1: float) -> Plan:
     if not 0.0 < eps1 < 0.5:
         raise ValueError(f"eps1 must lie in (0, 1/2), got {eps1}")
     spec = f.spec
+    # Named here, before eps1**2 underflows to zero in the divisions below.
+    eps_count(eps1, -2.0, "coin draw count")
     charges = ResourceLedger()
     log_term = math.log2(1.0 / eps1)
     n_target = max(math.ceil(log_term / eps1**2), (spec.k + 1) ** spec.d)
@@ -353,10 +375,7 @@ def plan_quantum(f: HolderFunction, eps1: float, mode: str = "query") -> Plan:
     bound = max(2.0 * half_bound, np.finfo(float).eps)
     grid, beta = _coupled_grid(spec, proj.n_points, eps1)
     n_nodes = grid.size
-    if n_nodes > MAX_STREAM:
-        raise OverflowError(
-            f"the coupled grid has N = {n_nodes} nodes, more than the {MAX_STREAM} a plan streams"
-        )
+    check_count(n_nodes, "coupled grid node count")
     power = amp_est.smallest_power_for_error(eps1)
     n_padded = 1 << max(0, (n_nodes - 1).bit_length())
     exact = amp_est.simulates(n_padded, power)
@@ -434,7 +453,9 @@ def expectation_randomized_quantum(
     """
     if not 0.0 < eps <= 0.5:
         raise ValueError(f"eps must lie in (0, 1/2], got {eps}")
+    eps_count(eps, -2.0, "rand-quantum sample count")
     n = math.ceil(72.0 / eps**2)
+    check_count(n, "rand-quantum sample count")
     points = sampler(rng, n)
     values = np.asarray(f_oracle(points), dtype=float)
     if values.shape != (n,):

@@ -20,7 +20,7 @@ import sys
 import warnings
 import weakref
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .amp_est import error_bound
 from .holder import HolderClassSpec, HolderFunction
 from .integrators import (
     IntegrationResult,
-    check_count,
+    eps_count,
     integrate_coin,
     integrate_deterministic,
     integrate_mc,
@@ -92,23 +92,14 @@ def trial_rng(seed: int, budget_index: int, trial_index: int) -> np.random.Gener
 
 
 def _det(fn, ell):
-    ell = max(1, ell)
-    check_count(ell**fn.spec.d, "det cell count")
-    return lambda rng: integrate_deterministic(fn, ell)
-
-
-def _eps_count(eps1: float, power: float, what: str) -> int:
-    """ceil(eps1 ** power), the ``what`` a ``by_eps`` map asks for, named if it overflows."""
-    try:
-        return math.ceil(eps1**power)
-    except OverflowError:
-        raise OverflowError(
-            f"the {what} eps1^{power:.4g} = 10^{power * math.log10(eps1):.1f} overflows a float"
-        ) from None
+    # The rule draws nothing, so it runs once, when the sampler is built, and
+    # every trial gets its own copy of the result.
+    result = integrate_deterministic(fn, max(1, ell))
+    return lambda rng: replace(result, ledger=replace(result.ledger), parameters=dict(result.parameters))
 
 
 def _det_by_eps(fn, eps1, mode):
-    n = _eps_count(eps1, -1.0 / fn.spec.gamma, "det cell count")
+    n = eps_count(eps1, -1.0 / fn.spec.gamma, "det cell count")
     return _det(fn, math.ceil(n ** (1.0 / fn.spec.d)))
 
 
@@ -119,7 +110,6 @@ def _det_by_eps(fn, eps1, mode):
 
 
 def _mc(fn, samples, variance_reduced=False):
-    check_count(samples, "mcvr sample count" if variance_reduced else "mc sample count")
     plan = plan_mc(fn, samples, variance_reduced)
     return lambda rng: integrate_mc(
         fn, samples, rng, variance_reduced=variance_reduced, plan=weakref.proxy(plan)
@@ -129,12 +119,6 @@ def _mc(fn, samples, variance_reduced=False):
 def _coin(fn, eps1):
     plan = plan_coin(fn, eps1)
     return lambda rng: integrate_coin(fn, eps1, rng, plan=weakref.proxy(plan))
-
-
-def _coin_by_eps(fn, eps1, mode):
-    # Names the draw count where eps1^-2 overflows, before plan_coin divides by eps1**2 == 0.
-    _eps_count(eps1, -2.0, "coin draw count")
-    return _coin(fn, eps1)
 
 
 def _quantum(fn, eps1, mode):
@@ -155,20 +139,18 @@ class Method:
     ``by_budget`` serves ``qintlab rates`` and ``by_eps`` serves ``qintlab
     integrate``; both take ``(fn, budget or eps1, mode)``, build the
     method's trial-invariant plan once, and return the per-trial sampler
-    ``rng -> IntegrationResult``.  The two maps differ on purpose.  The
-    det, mc, mcvr and coin maps raise OverflowError, naming the count, past
-    ``integrators.MAX_STREAM`` cells, samples, draws or interpolation
-    nodes, before any evaluation.
-    ``cost`` reads the ledger category the rate is fitted on.  A method
-    that is not randomized runs once per budget row.  Samplers look the
-    ``integrate_*`` functions up in this module at call time, once per
-    trial, so rebinding them here reaches every trial.
+    ``rng -> IntegrationResult``.  The two maps differ on purpose.  Every
+    size bound is checked in ``integrators``, which raises OverflowError
+    naming the count.  ``cost`` reads the ledger category the rate is
+    fitted on.  Samplers look the ``integrate_*`` functions up in this
+    module at call time, once per trial, so rebinding them here reaches
+    every trial; det, which draws nothing, calls ``integrate_deterministic``
+    once, when its sampler is built.
     """
 
     by_budget: Callable
     by_eps: Callable
     cost: Callable[[ResourceLedger], int]
-    randomized: bool = True
 
 
 METHODS = {
@@ -176,25 +158,24 @@ METHODS = {
         lambda fn, budget, mode: _det(fn, round(budget ** (1.0 / fn.spec.d))),
         _det_by_eps,
         lambda led: led.classical_evals,
-        randomized=False,
     ),
     "mc": Method(
         lambda fn, budget, mode: _mc(fn, budget),
-        lambda fn, eps1, mode: _mc(fn, _eps_count(eps1, -2.0, "mc sample count")),
+        lambda fn, eps1, mode: _mc(fn, eps_count(eps1, -2.0, "mc sample count")),
         lambda led: led.classical_evals,
     ),
     "mcvr": Method(
         lambda fn, budget, mode: _mc(fn, max(1, budget // 2), variance_reduced=True),
         lambda fn, eps1, mode: _mc(
             fn,
-            _eps_count(eps1, -2.0 / (1.0 + 2.0 * fn.spec.gamma), "mcvr sample count"),
+            eps_count(eps1, -2.0 / (1.0 + 2.0 * fn.spec.gamma), "mcvr sample count"),
             variance_reduced=True,
         ),
         lambda led: led.classical_evals,
     ),
     "coin": Method(
         lambda fn, budget, mode: _coin(fn, min(0.49, budget**-0.5)),
-        _coin_by_eps,
+        lambda fn, eps1, mode: _coin(fn, eps1),
         lambda led: led.classical_evals + led.random_bits,
     ),
     "quantum": Method(
@@ -219,8 +200,7 @@ def run_convergence(
     Deterministic given the seed: trial streams are split from
     (seed, budget index, trial index), so trial counts do not perturb each
     other.  Each row builds its method's plan once and samples every trial
-    from it.  Methods that are not randomized run once per budget and
-    replicate the row.  A row's budget is the lower median of its trials'
+    from it.  A row's budget is the lower median of its trials'
     costs, so it stays one trial's measured integer cost when the costs
     vary (coin rejection draws a varying number of bits).
     """
@@ -241,8 +221,6 @@ def run_convergence(
     def record(result: IntegrationResult) -> TrialRecord:
         return TrialRecord(error=abs(result.estimate - exact), **result.ledger.as_dict())
 
-    runs = trials if entry.randomized else 1
-
     def row(bi: int, budget: int) -> BudgetRow:
         # One plan per row, released before the next row's plan is built.
         try:
@@ -251,8 +229,8 @@ def run_convergence(
             raise ConfigurationError(
                 f"{method} budget {budget} asks for sizes that do not fit: {exc}"
             ) from exc
-        results = [sample(trial_rng(seed, bi, ti)) for ti in range(runs)]
-        records = [record(r) for r in results] * (trials // runs)
+        results = [sample(trial_rng(seed, bi, ti)) for ti in range(trials)]
+        records = [record(r) for r in results]
         budget_used = statistics.median_low(entry.cost(r.ledger) for r in results)
         return BudgetRow(budget, budget_used, records)
 

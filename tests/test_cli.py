@@ -55,6 +55,15 @@ def test_rates_zero_budget_range_exit_code(capsys):
         ("mean --n 4 --eps inf --trials 3", "--eps must be positive and finite"),
         ("mean --n 4 --eps 1e-300 --trials 3", "--eps 1e-300 is too small"),
         ("rates --method det --d 1 --budgets 0,4,8,16", "budgets must be at least 1"),
+        ("grover --m 3 --marked 1 --shots 0", "--shots must be at least 1"),
+        ("fool --d 1 --n 4 --c-geom nan", "c_geom must be positive and finite"),
+        ("fool --d 1 --n 4 --c-geom -1", "c_geom must be positive and finite"),
+        ("integrate --method coin --d 2 --eps1 0.1 --fn fool --fool-bumps -2", "--fool-bumps must be at least 1"),
+        ("integrate --method det --d 1 --eps1 0.1 --fn fool --fool-bumps 0", "--fool-bumps must be at least 1"),
+        ("integrate --method rand-quantum --d 1 --eps1 1e-5",
+         "the rand-quantum sample count 720000000000 is more than the 268435456 a run evaluates"),
+        ("integrate --method rand-quantum --d 1 --eps1 1e-300",
+         "the rand-quantum sample count eps1^-2 = 10^600.0 overflows a float"),
     ],
 )
 def test_out_of_range_inputs_exit_two(capsys, command, message):
@@ -257,8 +266,8 @@ def test_mean_refuses_a_register_above_the_limit_before_building_it(monkeypatch,
 
 
 @pytest.mark.parametrize("argv, names", [
-    ("rates --method quantum --d 1 --budgets 2^5..2^8 --trials 2", ("quantum budget 128", "N = 3609 nodes")),
-    ("integrate --method quantum --d 1 --eps1 0.025", ("--eps1 0.025", "N = 3632 nodes")),
+    ("rates --method quantum --d 1 --budgets 2^5..2^8 --trials 2", ("quantum budget 128", "coupled grid node count 3609 ")),
+    ("integrate --method quantum --d 1 --eps1 0.025", ("--eps1 0.025", "coupled grid node count 3632 ")),
 ])
 def test_quantum_runs_refuse_a_coupled_grid_above_the_stream_limit(monkeypatch, capsys, argv, names):
     # Budgets 32 and 64 stream at most 754 nodes; the next row asks for more.
@@ -293,6 +302,36 @@ def test_classical_runs_refuse_counts_above_the_stream_limit(monkeypatch, capsys
     captured = capsys.readouterr()
     assert all(name in captured.err for name in names), captured.err
     assert "more than the 50 a run evaluates" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "integrate --method quantum --d 1 --eps1 0.1 --alpha 0.001",
+    "integrate --method coin --d 1 --eps1 0.1 --alpha 0.001",
+    "rates --method quantum --d 1 --alpha 0.001 --budgets 2^5..2^8 --trials 2",
+])
+def test_a_coupled_grid_that_overflows_names_the_class_not_eps1(capsys, argv):
+    # (n^gamma/eps1)^1000 overflows a float for every eps1 below 1/2.
+    assert main(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert "the coupled grid size (n^gamma/eps1)^(1/beta) = 10^" in err
+    assert "overflows a float: the class's beta = 0.001 is too small" in err
+    assert "eps1 0.1" not in err and "budget" not in err
+
+
+def test_integrate_det_runs_its_rule_once_for_all_trials(monkeypatch, capsys):
+    cells = []
+    original = integrators.midpoint_rule
+
+    def counting(f, ell, ledger=None):
+        cells.append(ell)
+        return original(f, ell, ledger)
+
+    monkeypatch.setattr(integrators, "midpoint_rule", counting)
+    assert main("integrate --method det --d 1 --eps1 0.05 --trials 3".split()) == 0
+    assert cells == [20]
+    _header, *rows = capsys.readouterr().out.splitlines()
+    assert [row.split(",", 1)[0] for row in rows] == ["0", "1", "2"]
+    assert len({row.split(",", 1)[1] for row in rows}) == 1
 
 
 def test_coin_names_the_draw_count_that_overflows(capsys):

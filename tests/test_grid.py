@@ -302,5 +302,5 @@ def test_quantum_plan_refuses_a_coupled_grid_above_the_stream_limit(monkeypatch)
 
     monkeypatch.setattr(integrators, "_scaled_residual_amplitude", stream)
     monkeypatch.setattr(integrators, "MAX_STREAM", 1000)
-    with pytest.raises(OverflowError, match="N = 3609 nodes"):
+    with pytest.raises(OverflowError, match="coupled grid node count 3609 "):
         plan_quantum(f, amp_est.error_bound(128))

@@ -116,6 +116,12 @@ def test_membership_catches_unbounded_sup():
     assert not verify_membership(f).passed
 
 
+def test_membership_rejects_non_finite_values():
+    half_nan = HolderFunction(lambda p: np.where(p[:, 0] < 0.5, np.nan, 0.0), make_spec(1, 0, 1), name="half")
+    with pytest.raises(ValueError, match="half is not finite on the measurement grid"):
+        verify_membership(half_nan)
+
+
 def test_fooling_example_geometry():
     spec = make_spec(1, 0, 1)
     inst = fooling_family(spec, 4, np.ones(4))
@@ -146,6 +152,12 @@ def test_fooling_validation():
         fooling_family(spec, 5, np.ones(5))  # not a perfect square
     with pytest.raises(ValueError):
         fooling_family(spec, 4, [1, 1, 1, 2])  # weight out of range
+
+
+@pytest.mark.parametrize("c_geom", [0.0, -1.0, float("nan"), float("inf")])
+def test_fooling_rejects_a_scale_that_is_not_positive_and_finite(c_geom):
+    with pytest.raises(ValueError, match="c_geom must be positive and finite"):
+        fooling_family(make_spec(1, 0, 1), 4, np.ones(4), c_geom=c_geom)
 
 
 @pytest.mark.parametrize("params", [(1, 0, 1.0), (2, 0, 1.0), (1, 1, 1.0), (1, 2, 0.5)])

@@ -107,6 +107,20 @@ def test_mc_scaling_equivariance_under_matched_seeds():
     assert b == pytest.approx(0.5 * a, abs=1e-14)
 
 
+@pytest.mark.parametrize("run, message", [
+    (lambda f: integrate_deterministic(f, 9), "det cell count 81 "),
+    (lambda f: plan_mc(f, 82), "mc sample count 82 "),
+    (lambda f: plan_mc(f, 82, variance_reduced=True), "mcvr sample count 82 "),
+])
+def test_det_and_mc_refuse_counts_above_the_stream_limit_before_evaluating(monkeypatch, run, message):
+    def unreachable(points):
+        raise AssertionError("evaluated before the size check")
+
+    monkeypatch.setattr(integrators, "MAX_STREAM", 80)
+    with pytest.raises(OverflowError, match=f"{message}is more than the 80 a run evaluates"):
+        run(fn(unreachable, make_spec(2, 0, 1)))
+
+
 def test_mc_eval_accounting():
     f = suite_member(SPEC1, "quadratic")
     plain = integrate_mc(f, 100, np.random.default_rng(0))

@@ -131,6 +131,29 @@ def test_run_convergence_deterministic_rows_replicate():
         assert row.budget == row.trials[0].classical_evals
 
 
+def test_det_runs_its_rule_once_per_row_and_gives_each_trial_a_copy(monkeypatch):
+    cells = []
+    original = integrators.midpoint_rule
+
+    def counting(f, ell, ledger=None):
+        cells.append(ell)
+        return original(f, ell, ledger)
+
+    monkeypatch.setattr(integrators, "midpoint_rule", counting)
+    f = suite_member(SPEC1, "quadratic")
+    report = run_convergence("det", SPEC1, [16, 64, 256], trials=3, seed=0, fn=f)
+    assert cells == [16, 64, 256]
+    assert [len(row.trials) for row in report.rows] == [3, 3, 3]
+    sample = METHODS["det"].by_budget(f, 16, "query")
+    first = sample(np.random.default_rng(0))
+    first.ledger.classical_evals += 1
+    first.parameters["ell"] = 0
+    second = sample(np.random.default_rng(1))
+    assert second.ledger.classical_evals == second.parameters["ell"] == 16
+    assert second.estimate == first.estimate
+    assert cells == [16, 64, 256, 16]
+
+
 def test_run_convergence_seeded_trials_are_stable_across_trial_counts():
     f = suite_member(SPEC1, "quadratic")
     one = run_convergence("mc", SPEC1, [32, 64, 128, 256], trials=1, seed=9, fn=f)
@@ -161,7 +184,6 @@ def test_method_table_fits_each_method_on_its_cost():
         "quantum": lambda t: t.quantum_queries,
     }
     assert list(METHODS) == list(cost)
-    assert [m for m, entry in METHODS.items() if not entry.randomized] == ["det"]
     f = suite_member(SPEC1, "quadratic")
     for method in METHODS:
         report = run_convergence(method, SPEC1, [64, 128], trials=2, seed=3, fn=f)
