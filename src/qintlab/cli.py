@@ -47,7 +47,7 @@ def _pick_function(args, spec) -> holder.HolderFunction:
         n_bumps = args.fool_bumps ** spec.d
         signs = np.ones(n_bumps)
         return holder.fooling_family(spec, n_bumps, signs).as_function()
-    return holder.suite_member(spec, args.fn)
+    return holder.suite_member(spec, args.fn or ("multiscale" if spec.k == 0 else "quadratic"))
 
 
 def cmd_grover(args) -> int:
@@ -171,10 +171,9 @@ def _integrate_rows(args) -> list[dict]:
 
 def cmd_rates(args) -> int:
     spec = make_spec(args.d, args.k, args.alpha)
-    fn_name = args.fn or ("multiscale" if spec.k == 0 else "quadratic")
     if args.fn == "fool":
         raise ratelab.ConfigurationError("rates needs a suite member with an exact integral")
-    fn = holder.suite_member(spec, fn_name)
+    fn = _pick_function(args, spec)
     budgets = parse_budgets(args.budgets)
     ratelab.check_writable(args.out)
     report = ratelab.run_convergence(
@@ -184,7 +183,7 @@ def cmd_rates(args) -> int:
     if args.out:
         ratelab.export(report, args.format, args.out)
         print(f"report written to {args.out}")
-    print(f"method={args.method} fn={fn_name} gamma={spec.gamma}")
+    print(f"method={args.method} fn={fn.name} gamma={spec.gamma}")
     print(f"fitted slope: {slope:.4f}  95% CI: [{ci[0]:.4f}, {ci[1]:.4f}]")
     return 0
 
@@ -227,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--eps1", type=float, required=True)
     p.add_argument("--mode", choices=["query", "bit"], default="query")
-    p.add_argument("--fn", default="multiscale")
+    p.add_argument("--fn", default=None)
     p.add_argument("--fool-bumps", type=int, default=4, dest="fool_bumps",
                    help="bump cells per axis when --fn fool")
     p.add_argument("--p", type=float, default=0.3, help="Bernoulli parameter for rand-quantum")
@@ -258,7 +257,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ratelab.ConfigurationError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # A KeyError's str is the repr of its message; print the message itself.
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,6 +8,14 @@ stochastic or quantum budget only on the small residual
 
     estimate = I(Pf) + (approximate midpoint rule of f - Pf).
 
+Two steps carry this skeleton for every plan that uses it.  The projection
+step (``_project``) takes the plan's float node target, clamps it to at
+least one cell, (k+1)**d nodes, sizes it, and only then interpolates and
+forms the residual; it records ``n_points``.  The coupled-grid step
+(``_coupled_grid``), for the coin and quantum methods, turns n and eps1
+into the discretisation grid the residual's midpoint rule runs on and
+records ``N``, ``ell_N`` and ``beta``.
+
 Each randomized method is split into a plan and a sample.  ``plan_mc``,
 ``plan_coin`` and ``plan_quantum`` do the work that does not depend on the
 random stream: the projection; for the coin method the residual on the
@@ -18,10 +26,12 @@ residual stream over the coupled grid and the outcome law of the
 estimation register.  That law is the simulated circuit's or the closed
 form, as ``amp_est.simulates`` decides from the register size; no argument
 overrides it.  Every size bound is checked in this module before the work
-it bounds: ``check_count`` refuses det cells, mc and mcvr samples, coin draws
-and interpolation targets, coupled-grid nodes and randomized quantum samples
-past ``MAX_STREAM``, and ``eps_count`` names a precision's power that
-overflows a float; both raise OverflowError naming the count.
+it bounds: ``check_count`` refuses det cells, mc and mcvr samples, coin draws,
+every interpolation target, quantum coupled-grid nodes and randomized
+quantum samples past ``MAX_STREAM``, and names a count past a float;
+``eps_count`` names a precision's power that overflows a float; both raise
+OverflowError naming the count.  A coupled grid whose size the class's
+beta, not eps1, puts past the largest array raises ValueError naming beta.
 ``integrate_mc``, ``integrate_coin`` and ``integrate_quantum`` sample one
 trial from a plan: the random draws, the residual values they select, and
 the ledger charges.  Every trial's ledger
@@ -64,11 +74,15 @@ _MIN_N_OVER = 4
 MAX_STREAM = 1 << 28
 
 
-def check_count(count: int, what: str) -> None:
-    """OverflowError naming ``count``, the ``what`` a run asks for, past ``MAX_STREAM``."""
+def check_count(count: float, what: str) -> int:
+    """ceil(count), the ``what`` a run asks for; OverflowError naming it past a float or ``MAX_STREAM``."""
+    if count == math.inf:
+        raise OverflowError(f"the {what} overflows a float")
+    count = math.ceil(count)
     if count > MAX_STREAM:
         shown = count if count < 10**15 else f"10^{math.log10(count):.1f}"
         raise OverflowError(f"the {what} {shown} is more than the {MAX_STREAM} a run evaluates")
+    return count
 
 
 def eps_count(eps1: float, power: float, what: str) -> int:
@@ -140,22 +154,41 @@ def _beta(spec: HolderClassSpec) -> float:
     return min(_BETA_CAP, raw)
 
 
-def _coupled_grid(spec: HolderClassSpec, n_points: int, eps1: float) -> tuple[Grid, float]:
-    """Discretisation grid from N**-beta ~ n**-gamma * eps1, with N >= 4n, and beta."""
+def _project(f: HolderFunction, target: float, params: dict, charges: ResourceLedger):
+    """The projection on ceil(target) nodes, at least one cell, and its residual f - Pf.
+
+    The target is sized before any node is evaluated; ``params`` records ``n_points``.
+    """
+    n_target = check_count(max(target, (f.spec.k + 1) ** f.spec.d), f"{params['method']} interpolation target")
+    proj = interpolate(f, n_target, charges)
+    params["n_points"] = proj.n_points
+    return proj, residual(f, proj)
+
+
+def _coupled_grid(spec: HolderClassSpec, params: dict) -> Grid:
+    """Discretisation grid from N**-beta ~ n**-gamma * eps1, with N >= 4n.
+
+    Reads n and eps1 from ``params`` and records N, ell_N and beta there.
+    """
     beta = _beta(spec)
+    n_points, eps1 = params["n_points"], params["eps1"]
     try:
         n_raw = (n_points**spec.gamma / eps1) ** (1.0 / beta)
     except OverflowError:
-        # The exponent 1/beta comes from the class, and at a beta this small
-        # the grid overflows at any usable eps1: not a size that eps1 asks for.
+        n_raw = math.inf
+    # N > 2**(1/beta) at every eps1 below 1/2, past the largest array once
+    # beta < 1/63: a size the class asks for, not eps1.
+    if beta < 1 / 63 or n_raw == math.inf:
         exponent = (spec.gamma * math.log10(n_points) - math.log10(eps1)) / beta
+        past = "overflows a float" if n_raw == math.inf else "exceeds the largest array"
         raise ValueError(
-            f"the coupled grid size (n^gamma/eps1)^(1/beta) = 10^{exponent:.1f} overflows a float: "
+            f"the coupled grid size (n^gamma/eps1)^(1/beta) = 10^{exponent:.1f} {past}: "
             f"the class's beta = {beta:.4g} is too small"
-        ) from None
+        )
     n_raw = max(n_raw, _MIN_N_OVER * n_points)
-    ell = max(1, math.ceil(n_raw ** (1.0 / spec.d) - 1e-9))
-    return Grid(ell, spec.d), beta
+    grid = Grid(max(1, math.ceil(n_raw ** (1.0 / spec.d) - 1e-9)), spec.d)
+    params.update({"N": grid.size, "ell_N": grid.ell, "beta": beta})
+    return grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,9 +258,8 @@ def plan_mc(f: HolderFunction, samples: int, variance_reduced: bool = False) -> 
     charges = ResourceLedger()
     if not variance_reduced:
         return Plan(key, params, charges, 0.0, f)
-    proj = interpolate(f, max(samples, (f.spec.k + 1) ** f.spec.d), charges)
-    params["n_points"] = proj.n_points
-    return Plan(key, params, charges, proj.exact_integral, residual(f, proj))
+    proj, g = _project(f, samples, params, charges)
+    return Plan(key, params, charges, proj.exact_integral, g)
 
 
 def integrate_mc(
@@ -261,29 +293,16 @@ def plan_coin(f: HolderFunction, eps1: float) -> Plan:
     """Coin plan: the projection and the coupled grid the draws select from."""
     if not 0.0 < eps1 < 0.5:
         raise ValueError(f"eps1 must lie in (0, 1/2), got {eps1}")
-    spec = f.spec
     # Named here, before eps1**2 underflows to zero in the divisions below.
     eps_count(eps1, -2.0, "coin draw count")
+    draws = check_count(1.0 / eps1**2, "coin draw count")
     charges = ResourceLedger()
-    log_term = math.log2(1.0 / eps1)
-    n_target = max(math.ceil(log_term / eps1**2), (spec.k + 1) ** spec.d)
-    draws = math.ceil(1.0 / eps1**2)
-    check_count(draws, "coin draw count")
-    check_count(n_target, "coin interpolation target")
-    proj = interpolate(f, n_target, charges)
-    grid, beta = _coupled_grid(spec, proj.n_points, eps1)
-    params = {
-        "method": "coin",
-        "eps1": eps1,
-        "n_points": proj.n_points,
-        "N": grid.size,
-        "ell_N": grid.ell,
-        "beta": beta,
-        "draws": draws,
-        "bits_per_attempt": (grid.size - 1).bit_length() if grid.size > 1 else 0,
-    }
-    values = residual(f, proj).on_grid(grid)
-    return Plan(("coin", f, eps1), params, charges, proj.exact_integral, grid_values=values)
+    params: dict = {"method": "coin", "eps1": eps1}
+    proj, g = _project(f, math.log2(1.0 / eps1) / eps1**2, params, charges)
+    grid = _coupled_grid(f.spec, params)
+    params["draws"] = draws
+    params["bits_per_attempt"] = (grid.size - 1).bit_length() if grid.size > 1 else 0
+    return Plan(("coin", f, eps1), params, charges, proj.exact_integral, grid_values=g.on_grid(grid))
 
 
 def integrate_coin(
@@ -351,29 +370,20 @@ def plan_quantum(f: HolderFunction, eps1: float, mode: str = "query") -> Plan:
     if mode not in ("query", "bit"):
         raise ValueError(f"mode must be 'query' or 'bit', got {mode!r}")
     key = ("quantum", f, eps1, mode)
-    spec = f.spec
     charges = ResourceLedger()
     inv = 1.0 / eps1
-    n_target = math.ceil(inv) if mode == "query" else math.ceil(inv * math.log2(inv))
-    n_target = max(n_target, (spec.k + 1) ** spec.d)
-    proj = interpolate(f, n_target, charges)
-    g = residual(f, proj)
-    params: dict = {
-        "method": "quantum",
-        "mode": mode,
-        "eps1": eps1,
-        "n_points": proj.n_points,
-        "ell": proj.ell,
-    }
-    half_bound = probe_sup(g, proj.ell * (spec.k + 1))
+    params: dict = {"method": "quantum", "mode": mode, "eps1": eps1}
+    proj, g = _project(f, inv if mode == "query" else inv * math.log2(inv), params, charges)
+    params["ell"] = proj.ell
+    half_bound = probe_sup(g, proj.ell * (f.spec.k + 1))
     # Residuals at the evaluation noise floor (constants, reproduced
     # polynomials) short-circuit: the projection integral is already exact.
     noise_floor = 64.0 * np.finfo(float).eps * max(1.0, abs(proj.exact_integral))
     if half_bound <= noise_floor:
         params.update({"M": 0, "B": 0.0, "degenerate": True})
         return Plan(key, params, charges, proj.exact_integral)
-    bound = max(2.0 * half_bound, np.finfo(float).eps)
-    grid, beta = _coupled_grid(spec, proj.n_points, eps1)
+    bound = 2.0 * half_bound
+    grid = _coupled_grid(f.spec, params)
     n_nodes = grid.size
     check_count(n_nodes, "coupled grid node count")
     power = amp_est.smallest_power_for_error(eps1)
@@ -388,9 +398,6 @@ def plan_quantum(f: HolderFunction, eps1: float, mode: str = "query") -> Plan:
         law = amp_est.amplitude_law(a_padded, n_nodes, n_padded, power)
     params.update(
         {
-            "N": n_nodes,
-            "ell_N": grid.ell,
-            "beta": beta,
             "M": power,
             "B": bound,
             "sim": law.mode,
@@ -453,9 +460,9 @@ def expectation_randomized_quantum(
     """
     if not 0.0 < eps <= 0.5:
         raise ValueError(f"eps must lie in (0, 1/2], got {eps}")
+    # Named here, before eps**2 underflows to zero in the division below.
     eps_count(eps, -2.0, "rand-quantum sample count")
-    n = math.ceil(72.0 / eps**2)
-    check_count(n, "rand-quantum sample count")
+    n = check_count(72.0 / eps**2, "rand-quantum sample count")
     points = sampler(rng, n)
     values = np.asarray(f_oracle(points), dtype=float)
     if values.shape != (n,):

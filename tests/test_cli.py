@@ -64,6 +64,11 @@ def test_rates_zero_budget_range_exit_code(capsys):
          "the rand-quantum sample count 720000000000 is more than the 268435456 a run evaluates"),
         ("integrate --method rand-quantum --d 1 --eps1 1e-300",
          "the rand-quantum sample count eps1^-2 = 10^600.0 overflows a float"),
+        # eps1^-2 fits a float here, but 72/eps1^2 and log2(1/eps1)/eps1^2 do not.
+        ("integrate --method rand-quantum --d 1 --eps1 1e-154", "the rand-quantum sample count overflows a float"),
+        ("integrate --method coin --d 1 --eps1 1e-154", "the coin draw count 10^308.0 is more than"),
+        ("integrate --method quantum --d 1 --eps1 1e-307 --mode bit",
+         "the quantum interpolation target overflows a float"),
     ],
 )
 def test_out_of_range_inputs_exit_two(capsys, command, message):
@@ -120,6 +125,47 @@ def test_fool_command_matches_library(capsys):
     instance = fooling_family(make_spec(1, 0, 1), 4, np.ones(4))
     assert repr(instance.exact_integral) in out
     assert "membership: pass" in out
+
+
+@pytest.mark.parametrize("signs, values", [
+    ("alternating", [1.0, -1.0, 1.0, -1.0, 1.0]),
+    ("random", np.random.default_rng(2).choice([-1.0, 1.0], size=5)),
+])
+def test_fool_command_signs_match_library(capsys, signs, values):
+    # The five signs sum to 1 and -3, so neither integral is all-plus's.
+    assert main(["fool", "--d", "1", "--n", "5", "--signs", signs, "--seed", "2"]) == 0
+    out = capsys.readouterr().out
+    instance = fooling_family(make_spec(1, 0, 1), 5, np.asarray(values))
+    assert f"exact integral:       {instance.exact_integral!r}\n" in out
+    assert "membership: pass" in out
+
+
+def test_mean_command_estimates_a_constant_half_exactly(capsys):
+    # Amplitude 1/2 sits on the estimator's grid, so every trial is exact.
+    assert main("mean --n 8 --dist const --eps 0.05 --trials 20 --seed 3".split()) == 0
+    out = capsys.readouterr().out
+    assert "n=8 dist=const true mean=0.500000" in out
+    assert "success rate over 20 trials: 1.0000" in out
+
+
+def test_integrate_fool_equals_the_library_fooling_function_bitwise(capsys):
+    assert main("integrate --method det --d 2 --eps1 0.05 --fn fool --fool-bumps 3".split()) == 0
+    _header, row = capsys.readouterr().out.splitlines()
+    f = fooling_family(make_spec(2, 0, 1), 9, np.ones(9)).as_function()
+    expected = integrators.integrate_deterministic(f, 20)  # eps1^-2 = 400 cells
+    assert row.split(",")[1] == repr(expected.estimate)
+    assert row.split(",")[2] == str(expected.ledger.classical_evals)
+
+
+@pytest.mark.parametrize("k, name", [(0, "multiscale"), (1, "quadratic")])
+def test_integrate_picks_the_default_member_rates_picks(capsys, k, name):
+    assert main(f"rates --method mcvr --d 2 --k {k} --budgets 2^4..2^7 --trials 2".split()) == 0
+    assert f"fn={name} " in capsys.readouterr().out
+    command = f"integrate --method mcvr --d 2 --k {k} --eps1 0.05 --trials 2"
+    assert main(command.split()) == 0
+    default = capsys.readouterr().out
+    assert main(f"{command} --fn {name}".split()) == 0
+    assert capsys.readouterr().out == default
 
 
 def test_integrate_command_writes_csv(tmp_path):
@@ -208,6 +254,8 @@ def test_unknown_suite_member_exit_code(capsys):
          "--trials", "1", "--seed", "1", "--fn", "nope"]
     )
     assert code == 2
+    # The KeyError's message, not its repr.
+    assert capsys.readouterr().err == "error: no suite member named 'nope' for HolderClassSpec(d=1, k=0, alpha=1.0)\n"
 
 
 def test_argparse_errors_exit_two():
@@ -308,14 +356,19 @@ def test_classical_runs_refuse_counts_above_the_stream_limit(monkeypatch, capsys
     "integrate --method quantum --d 1 --eps1 0.1 --alpha 0.001",
     "integrate --method coin --d 1 --eps1 0.1 --alpha 0.001",
     "rates --method quantum --d 1 --alpha 0.001 --budgets 2^5..2^8 --trials 2",
+    "integrate --method quantum --d 1 --eps1 0.45 --alpha 0.002",
 ])
 def test_a_coupled_grid_that_overflows_names_the_class_not_eps1(capsys, argv):
-    # (n^gamma/eps1)^1000 overflows a float for every eps1 below 1/2.
+    # N > 2^(1/beta) for every eps1 below 1/2: at beta = 0.001 that
+    # overflows a float, at beta = 0.002 it is past the largest array.
     assert main(argv.split()) == 2
     err = capsys.readouterr().err
     assert "the coupled grid size (n^gamma/eps1)^(1/beta) = 10^" in err
-    assert "overflows a float: the class's beta = 0.001 is too small" in err
-    assert "eps1 0.1" not in err and "budget" not in err
+    if "0.002" in argv:
+        assert "10^173.9 exceeds the largest array: the class's beta = 0.002 is too small" in err
+    else:
+        assert "overflows a float: the class's beta = 0.001 is too small" in err
+    assert "--eps1" not in err and "budget" not in err
 
 
 def test_integrate_det_runs_its_rule_once_for_all_trials(monkeypatch, capsys):

@@ -121,6 +121,15 @@ def test_det_and_mc_refuse_counts_above_the_stream_limit_before_evaluating(monke
         run(fn(unreachable, make_spec(2, 0, 1)))
 
 
+def test_quantum_refuses_its_interpolation_target_before_interpolating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(integrators, "interpolate", lambda *args: calls.append(args))
+    monkeypatch.setattr(integrators, "MAX_STREAM", 1000)
+    with pytest.raises(OverflowError, match="the quantum interpolation target 5000 is more than the 1000 "):
+        plan_quantum(suite_member(SPEC1, "multiscale"), 1 / 5000)
+    assert calls == []
+
+
 def test_mc_eval_accounting():
     f = suite_member(SPEC1, "quadratic")
     plain = integrate_mc(f, 100, np.random.default_rng(0))
