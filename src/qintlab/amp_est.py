@@ -45,9 +45,14 @@ AUTO_EXACT_LIMIT = 2**20
 MAX_POWER = 2**22
 
 
-def simulates(n_padded: int, M: int) -> bool:
-    """The size rule of "auto": simulate the circuit while n_padded * M stays small."""
-    return n_padded * M <= AUTO_EXACT_LIMIT
+def _padded(n: int) -> int:
+    """Items in the register that holds n values: the next power of two."""
+    return 1 << max(0, (n - 1).bit_length())
+
+
+def simulates(n: int, M: int) -> bool:
+    """The size rule of "auto": simulate while the n items' padded register times M stays small."""
+    return _padded(n) * M <= AUTO_EXACT_LIMIT
 
 
 def error_bound(M: int) -> float:
@@ -85,8 +90,8 @@ class RealOracle:
             raise ValueError("oracle values must lie in [0, 1]")
         vals = np.clip(vals, 0.0, 1.0)
         self.n = int(vals.size)
-        self.m_data = max(0, (self.n - 1).bit_length())
-        self.n_padded = 2**self.m_data
+        self.n_padded = _padded(self.n)
+        self.m_data = self.n_padded.bit_length() - 1
         padded = np.zeros(self.n_padded)
         padded[: self.n] = vals
         self.padded_values = padded
@@ -197,38 +202,27 @@ def exact_estimate_distribution(oracle: RealOracle, M: int) -> tuple[np.ndarray,
     return _fold(exact_outcome_distribution(oracle, M), M)
 
 
-def _gate_count(m_data: int, t: int, M: int) -> int:
-    # Ancilla Hadamards, preparation (Walsh-Hadamard plus one oracle gate),
-    # M - 1 amplification steps at 2*(m_data + 1) + 4 gates each, inverse
-    # Fourier transform on t qubits.
-    return t + (m_data + 1) + (M - 1) * (2 * m_data + 6) + t * (t + 1) // 2
-
-
-def _charge(ledger: ResourceLedger | None, m_data: int, t: int, M: int) -> None:
-    if ledger is not None:
-        ledger.quantum_queries += M
-        ledger.random_bits += t
-        ledger.gates += _gate_count(m_data, t, M)
-
-
 @dataclass(frozen=True, eq=False)
 class OutcomeLaw:
-    """Sampling law of one estimation run, with the run's accounting.
+    """Sampling law of one estimation run on n items, with the run's accounting.
 
     ``estimates[i]`` is the raw (unrescaled) estimate drawn with probability
     ``probs[i]``.  A law does not depend on the random stream, so it can be
     built once and drawn from for every run on the same oracle.  Building it
-    checks ``probs`` as ``Generator.choice`` does and stores the cumulative
-    table ``cdf``; a run is then one uniform and one binary search in it,
-    which is ``choice``'s own draw, so outcomes match ``choice(p=probs)``.
+    pads n to ``n_padded``, fixes the per-run charge, checks ``probs`` as
+    ``Generator.choice`` does and stores the cumulative table ``cdf``; a run
+    is then one uniform and one binary search in it, which is ``choice``'s
+    own draw, so outcomes match ``choice(p=probs)``.
     """
 
     estimates: np.ndarray
     probs: np.ndarray
     M: int
     n: int
-    n_padded: int
     mode: str
+    n_padded: int = field(init=False)
+    bits: int = field(init=False, repr=False)
+    gates: int = field(init=False, repr=False)
     cdf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -239,28 +233,37 @@ class OutcomeLaw:
             raise ValueError("outcome probabilities do not sum to 1")
         cdf = p.cumsum()
         cdf /= cdf[-1]
-        object.__setattr__(self, "cdf", cdf)
+        n_padded = _padded(self.n)
+        m_data, t, M = n_padded.bit_length() - 1, self.M.bit_length() - 1, self.M
+        # Ancilla Hadamards, preparation (Walsh-Hadamard plus one oracle gate),
+        # M - 1 amplification steps at 2*(m_data + 1) + 4 gates each, inverse
+        # Fourier transform on t qubits.
+        gates = t + (m_data + 1) + (M - 1) * (2 * m_data + 6) + t * (t + 1) // 2
+        for name, value in (("n_padded", n_padded), ("bits", t), ("gates", gates), ("cdf", cdf)):
+            object.__setattr__(self, name, value)
 
     def draw(self, rng: np.random.Generator, ledger: ResourceLedger | None = None) -> MeanEstimate:
         """One run: a single outcome draw, rescaled by n_padded / n and charged."""
         raw = float(self.estimates[self.cdf.searchsorted(rng.random(), side="right")])
-        _charge(ledger, self.n_padded.bit_length() - 1, self.M.bit_length() - 1, self.M)
+        if ledger is not None:
+            ledger.quantum_queries += self.M
+            ledger.random_bits += self.bits
+            ledger.gates += self.gates
         value = min(1.0, raw * self.n_padded / self.n)
         return MeanEstimate(value=value, queries_used=self.M, mode=self.mode)
 
 
-def amplitude_law(a_padded: float, n: int, n_padded: int, M: int) -> OutcomeLaw:
-    """Closed-form law of the folded estimate for a padded mean ``a_padded``.
+def amplitude_law(total: float, n: int, M: int) -> OutcomeLaw:
+    """Closed-form law of the folded estimate for n items in [0, 1] summing to ``total``.
 
-    Accounting matches a run on the materialised n-item oracle, so the caller
-    may stream ``a_padded`` from however many values exist.
+    The zero-padded register's amplitude is ``total / n_padded``.  Accounting
+    matches a run on the materialised n-item oracle, so the caller may stream
+    ``total`` from however many values exist.
     """
     _log2_power_of_two(M)
-    if n_padded < n or n_padded != 2 ** (n_padded.bit_length() - 1):
-        raise ValueError(f"padded count {n_padded} invalid for n={n}")
-    estimates, probs = phase_estimation_distribution(a_padded, M)
+    estimates, probs = phase_estimation_distribution(total / _padded(n), M)
     probs = np.clip(probs, 0.0, None)
-    return OutcomeLaw(estimates, probs / probs.sum(), M, n, n_padded, "analytic")
+    return OutcomeLaw(estimates, probs / probs.sum(), M, n, "analytic")
 
 
 def outcome_law(oracle: RealOracle, M: int, mode: str = "auto") -> OutcomeLaw:
@@ -268,37 +271,33 @@ def outcome_law(oracle: RealOracle, M: int, mode: str = "auto") -> OutcomeLaw:
 
     "exact" takes the law of the raw readout y from the simulated circuit
     (``exact_outcome_distribution``), "analytic" the closed-form law of the
-    folded estimate, and "auto" is exact while ``simulates(n_padded, M)``.
+    folded estimate, and "auto" is exact while ``simulates(oracle.n, M)``.
     """
     _log2_power_of_two(M)
     if mode not in ("auto", "exact", "analytic"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto":
-        mode = "exact" if simulates(oracle.n_padded, M) else "analytic"
+        mode = "exact" if simulates(oracle.n, M) else "analytic"
     if mode == "analytic":
-        return amplitude_law(oracle.padded_mean(), oracle.n, oracle.n_padded, M)
+        return amplitude_law(oracle.padded_values.sum(), oracle.n, M)
     probs = exact_outcome_distribution(oracle, M)
     estimates = np.array([math.sin(math.pi * y / M) ** 2 for y in range(M)])
-    return OutcomeLaw(
-        estimates, np.clip(probs, 0.0, None) / probs.sum(), M, oracle.n, oracle.n_padded, "exact"
-    )
+    return OutcomeLaw(estimates, np.clip(probs, 0.0, None) / probs.sum(), M, oracle.n, "exact")
 
 
 def estimate_mean_from_amplitude(
-    a_padded: float,
+    total: float,
     n: int,
-    n_padded: int,
     M: int,
     rng: np.random.Generator,
     ledger: ResourceLedger | None = None,
 ) -> MeanEstimate:
     """Analytic-path run for an oracle too large to materialise.
 
-    ``a_padded`` is the mean of the zero-padded item vector; the caller
-    streams it from however many values exist.  Accounting matches a run on
-    the materialised oracle.
+    ``total`` is the sum of the n items; the caller streams it from however
+    many values exist.  Accounting matches a run on the materialised oracle.
     """
-    return amplitude_law(a_padded, n, n_padded, M).draw(rng, ledger)
+    return amplitude_law(total, n, M).draw(rng, ledger)
 
 
 def estimate_mean(
@@ -311,7 +310,7 @@ def estimate_mean(
     """One estimation run with a Grover-power budget of M = 2**t.
 
     ``mode`` is "exact" (simulated circuit), "analytic" (sample the
-    closed-form law), or "auto" (exact while ``simulates(n_padded, M)``).
+    closed-form law), or "auto" (exact while ``simulates(oracle.n, M)``).
     Estimates for padded oracles are rescaled by n_padded / n and clipped
     to [0, 1].
     """

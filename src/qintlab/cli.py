@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -42,9 +43,17 @@ def parse_budgets(text: str) -> list[int]:
     return budgets
 
 
+def _sized(count: int, what: str, flag: str) -> int:
+    """``integrators.check_count`` for a count set on the command line; the refusal names ``flag``."""
+    try:
+        return integrators.check_count(count, what)
+    except OverflowError as exc:
+        raise ratelab.ConfigurationError(f"{flag} is too large: {exc}") from None
+
+
 def _pick_function(args, spec) -> holder.HolderFunction:
     if args.fn == "fool":
-        n_bumps = args.fool_bumps ** spec.d
+        n_bumps = _sized(args.fool_bumps ** spec.d, "fooling bump count", f"--fool-bumps {args.fool_bumps}")
         signs = np.ones(n_bumps)
         return holder.fooling_family(spec, n_bumps, signs).as_function()
     return holder.suite_member(spec, args.fn or ("multiscale" if spec.k == 0 else "quadratic"))
@@ -53,8 +62,13 @@ def _pick_function(args, spec) -> holder.HolderFunction:
 def cmd_grover(args) -> int:
     if args.shots < 1:
         raise ratelab.ConfigurationError(f"--shots must be at least 1, got {args.shots}")
-    oracle = grover.BitOracle(args.m, [args.marked])
+    # The register is sized before its default iteration count, a float
+    # power that overflows from m = 2052; each gate touches every amplitude.
+    _sized(2**args.m, "grover register size", f"--m {args.m}")
     iterations = args.k if args.k is not None else grover.default_iterations(args.m)
+    _sized(2**args.m * (args.m + iterations * (2 * args.m + 2)), "grover amplitude-update count",
+           f"--m {args.m} with {iterations} iterations")
+    oracle = grover.BitOracle(args.m, [args.marked])
     state = grover.grover_state(oracle, iterations)
     analytic = grover.success_probability_analytic(2**args.m, 1, iterations)
     from .qsim import measure_shots
@@ -74,6 +88,7 @@ def _require_trials(trials: int) -> None:
 
 def cmd_mean(args) -> int:
     _require_trials(args.trials)
+    _sized(args.n, "mean item count", f"--n {args.n}")
     if not 0.0 < args.eps < math.inf:
         raise ratelab.ConfigurationError(f"--eps must be positive and finite, got {args.eps}")
     try:
@@ -101,7 +116,7 @@ def cmd_mean(args) -> int:
 
 def cmd_fool(args) -> int:
     spec = make_spec(args.d, args.k, args.alpha)
-    n_bumps = args.n
+    n_bumps = _sized(args.n, "fooling bump count", f"--n {args.n}")
     rng = _rng(args.seed)
     if args.signs == "all-plus":
         signs = np.ones(n_bumps)
@@ -252,8 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_line_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Only the format changes: callers' filters and recorders still apply.
+    former, warnings.formatwarning = warnings.formatwarning, _one_line_warning
     try:
         return args.func(args)
     except (ratelab.ConfigurationError, ValueError, KeyError) as exc:
@@ -263,6 +284,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = former
 
 
 if __name__ == "__main__":

@@ -24,11 +24,12 @@ so per-axis tables, once the draws have read as many points as the tables
 hold, are built once per row; and for the quantum method the sup probe, the
 residual stream over the coupled grid and the outcome law of the
 estimation register.  That law is the simulated circuit's or the closed
-form, as ``amp_est.simulates`` decides from the register size; no argument
+form, as ``amp_est.simulates`` decides from the node count; no argument
 overrides it.  Every size bound is checked in this module before the work
 it bounds: ``check_count`` refuses det cells, mc and mcvr samples, coin draws,
-every interpolation target, quantum coupled-grid nodes and randomized
-quantum samples past ``MAX_STREAM``, and names a count past a float;
+every interpolation target, quantum coupled-grid nodes, randomized
+quantum samples and the command line's mean items, fooling bumps and
+Grover amplitude updates past ``MAX_STREAM``, and names a count past a float;
 ``eps_count`` names a precision's power that overflows a float; both raise
 OverflowError naming the count.  A coupled grid whose size the class's
 beta, not eps1, puts past the largest array raises ValueError naming beta.
@@ -330,12 +331,12 @@ def integrate_coin(
     return _finished(f, plan.base + total / draws, ledger, params)
 
 
-def _scaled_residual_amplitude(g, bound, grid, n_padded, keep):
-    """Stream the residual over the grid's nodes: padded mean of (g + B) / 2B.
+def _scaled_residual_amplitude(g, bound, grid, keep):
+    """Stream the residual over the grid's nodes: the sum of (g + B) / 2B.
 
-    Returns the padded amplitude, the true midpoint value of the residual,
-    how many node values the bound failed to cover (clipped), and, if
-    ``keep`` is set, the clipped scaled values themselves (else None).
+    Returns that sum, the true midpoint value of the residual, how many node
+    values the bound failed to cover (clipped), and, if ``keep`` is set, the
+    clipped scaled values themselves (else None).
     """
     scaled_sum = 0.0
     raw_sum = 0.0
@@ -353,15 +354,15 @@ def _scaled_residual_amplitude(g, bound, grid, n_padded, keep):
         if keep:
             kept.append(vals)
     values = np.concatenate(kept) if keep else None
-    return scaled_sum / n_padded, raw_sum / grid.size, clipped, values
+    return scaled_sum, raw_sum / grid.size, clipped, values
 
 
 def plan_quantum(f: HolderFunction, eps1: float, mode: str = "query") -> Plan:
     """Quantum plan: projection, sup probe, residual stream and outcome law.
 
-    While ``amp_est.simulates(n_padded, M)``, the streamed values are loaded
-    into a register oracle and the law comes from the simulated circuit;
-    otherwise it is the closed-form law of the streamed amplitude.
+    While ``amp_est.simulates(N, M)``, the streamed values are loaded into a
+    register oracle and the law comes from the simulated circuit; otherwise
+    it is the closed-form law of the N nodes' streamed sum.
     ``parameters["sim"]`` names the path taken.  A residual that probes to
     zero gives a degenerate plan, no law.
     """
@@ -387,15 +388,12 @@ def plan_quantum(f: HolderFunction, eps1: float, mode: str = "query") -> Plan:
     n_nodes = grid.size
     check_count(n_nodes, "coupled grid node count")
     power = amp_est.smallest_power_for_error(eps1)
-    n_padded = 1 << max(0, (n_nodes - 1).bit_length())
-    exact = amp_est.simulates(n_padded, power)
-    a_padded, residual_midpoint, clipped, values = _scaled_residual_amplitude(
-        g, bound, grid, n_padded, keep=exact
-    )
+    exact = amp_est.simulates(n_nodes, power)
+    scaled_sum, residual_midpoint, clipped, values = _scaled_residual_amplitude(g, bound, grid, keep=exact)
     if exact:
         law = amp_est.outcome_law(RealOracle(values), power, "exact")
     else:
-        law = amp_est.amplitude_law(a_padded, n_nodes, n_padded, power)
+        law = amp_est.amplitude_law(scaled_sum, n_nodes, power)
     params.update(
         {
             "M": power,

@@ -173,9 +173,7 @@ def test_query_accounting():
 def test_amplitude_entry_point_matches_analytic_mode():
     oracle = RealOracle(np.linspace(0.1, 0.9, 10))
     direct = estimate_mean(oracle, 64, np.random.default_rng(3), mode="analytic")
-    via_amp = estimate_mean_from_amplitude(
-        oracle.padded_mean(), oracle.n, oracle.n_padded, 64, np.random.default_rng(3)
-    )
+    via_amp = estimate_mean_from_amplitude(oracle.padded_values.sum(), oracle.n, 64, np.random.default_rng(3))
     assert direct.value == via_amp.value
     assert direct.queries_used == via_amp.queries_used
 
@@ -256,7 +254,7 @@ def test_query_scaling_linear_in_inverse_error():
 
 def test_sampling_helper_respects_distribution():
     rng = np.random.default_rng(123)
-    draws = [amplitude_law(0.5, 1, 1, 4).draw(rng).value for _ in range(50)]
+    draws = [amplitude_law(0.5, 1, 4).draw(rng).value for _ in range(50)]
     assert all(d == pytest.approx(0.5, abs=1e-12) for d in draws)
 
 
@@ -277,16 +275,14 @@ def test_law_estimates_and_probabilities():
     oracle = RealOracle(np.linspace(0.1, 0.9, 10))
     exact = outcome_law(oracle, 16, "exact")
     assert [float(e) for e in exact.estimates] == [math.sin(math.pi * y / 16) ** 2 for y in range(16)]
-    analytic = amplitude_law(oracle.padded_mean(), oracle.n, oracle.n_padded, 16)
+    analytic = amplitude_law(oracle.padded_values.sum(), oracle.n, 16)
     assert analytic.estimates.size == 16 // 2 + 1
     for law in (exact, analytic):
         assert law.probs.min() >= 0.0
         assert law.probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert (law.n, law.n_padded, law.M) == (10, 16, 16)
-    with pytest.raises(ValueError, match="padded count"):
-        amplitude_law(0.5, 10, 12, 16)
     with pytest.raises(ValueError, match="power of two"):
-        amplitude_law(0.5, 10, 16, 12)
+        amplitude_law(0.5, 10, 12)
 
 
 def _exact_law_former_loop(oracle, M):
@@ -322,7 +318,7 @@ def _choice_law(a, M):
         # A simulated law with zero-probability outcomes: its mass sits at
         # y = 4 and y = 12 only.
         return outcome_law(RealOracle([1.0, 1.0, 1.0, 1.0, 0.0]), M, "exact")
-    return amplitude_law(a, 1, 1, M)
+    return amplitude_law(a, 1, M)
 
 
 @pytest.mark.parametrize(
@@ -333,7 +329,7 @@ def test_draws_match_generator_choice_index_for_index(a, M):
     size = law.probs.size
     assert law.cdf[-1] == 1.0
     # Same probabilities, each outcome labelled by its index.
-    labelled = OutcomeLaw(np.arange(size) / size, law.probs, law.M, 1, 1, law.mode)
+    labelled = OutcomeLaw(np.arange(size) / size, law.probs, law.M, 1, law.mode)
     for seed in range(10):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         drawn = [round(labelled.draw(rng).value * size) for _ in range(5000)]
@@ -358,7 +354,7 @@ class _Uniforms:
 def test_a_uniform_on_a_table_entry_draws_the_next_outcome_with_mass():
     # cdf = [0.25, 0.25, 0.5, 1.0]: choice's side="right" search never
     # returns the zero-mass outcome 1 and sends u = 0.25 on to outcome 2.
-    law = OutcomeLaw(np.array([0.0, 0.25, 0.5, 0.75]), np.array([0.25, 0.0, 0.25, 0.5]), 4, 1, 1, "exact")
+    law = OutcomeLaw(np.array([0.0, 0.25, 0.5, 0.75]), np.array([0.25, 0.0, 0.25, 0.5]), 4, 1, "exact")
     rng = _Uniforms(0.0, 0.2499, 0.25, 0.4999, 0.5, 0.75)
     assert [law.draw(rng).value for _ in range(6)] == [0.0, 0.0, 0.5, 0.5, 0.75, 0.75]
 
@@ -366,7 +362,7 @@ def test_a_uniform_on_a_table_entry_draws_the_next_outcome_with_mass():
 def test_the_table_is_normalised_so_the_largest_uniform_stays_in_range():
     # The probabilities sum to 1 - 1e-9, inside choice's tolerance; without
     # the normalisation the top uniform would fall past the last outcome.
-    law = OutcomeLaw(np.array([0.25, 0.75]), np.array([0.5, 0.5 - 1e-9]), 2, 1, 1, "analytic")
+    law = OutcomeLaw(np.array([0.25, 0.75]), np.array([0.5, 0.5 - 1e-9]), 2, 1, "analytic")
     assert law.cdf[-1] == 1.0
     assert law.draw(_Uniforms(1.0 - 2.0**-53)).value == 0.75
     np.random.default_rng(0).choice(2, p=law.probs)  # choice accepts them too
@@ -384,4 +380,4 @@ def test_the_table_is_normalised_so_the_largest_uniform_stays_in_range():
 )
 def test_a_law_with_invalid_probabilities_is_refused_when_built(probs, message):
     with pytest.raises(ValueError, match=message):
-        OutcomeLaw(np.array([0.0, 0.5, 1.0]), np.array(probs), 4, 1, 1, "analytic")
+        OutcomeLaw(np.array([0.0, 0.5, 1.0]), np.array(probs), 4, 1, "analytic")

@@ -1,6 +1,10 @@
 """Command-line interface behaviour and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +73,19 @@ def test_rates_zero_budget_range_exit_code(capsys):
         ("integrate --method coin --d 1 --eps1 1e-154", "the coin draw count 10^308.0 is more than"),
         ("integrate --method quantum --d 1 --eps1 1e-307 --mode bit",
          "the quantum interpolation target overflows a float"),
+        ("rates --method det --d 1 --budgets 2^4..2^7 --fn fool", "rates needs a suite member with an exact integral"),
+        # Sized before anything is allocated; the refusal names the flag, not --eps1.
+        ("mean --n 10000000000000 --eps 0.1",
+         "error: --n 10000000000000 is too large: the mean item count 10000000000000 is more than"),
+        ("fool --d 1 --n 10000000000000",
+         "error: --n 10000000000000 is too large: the fooling bump count 10000000000000 is more than"),
+        ("integrate --method det --d 2 --eps1 0.1 --fn fool --fool-bumps 10000000",
+         "error: --fool-bumps 10000000 is too large: the fooling bump count 100000000000000 is more than"),
+        ("grover --m 30 --marked 0", "error: --m 30 is too large: the grover register size 1073741824 is more than"),
+        ("grover --m 3000 --marked 0", "error: --m 3000 is too large: the grover register size 10^903.1 is more than"),
+        ("grover --m 20 --marked 0",
+         "error: --m 20 with 804 iterations is too large: the grover amplitude-update count 35429285888 is more than"),
+        ("grover --m 16 --marked 0", "the grover amplitude-update count 448921600 is more than"),
     ],
 )
 def test_out_of_range_inputs_exit_two(capsys, command, message):
@@ -89,6 +106,34 @@ def test_rates_with_only_zero_budget_rows_exits_two_without_lapack_noise(capfd):
     assert "fewer than 2 nonzero rows left to fit" in captured.err
     assert "DLASCL" not in captured.out + captured.err
     assert "SVD" not in captured.err
+
+
+def test_each_warning_is_one_stderr_line():
+    # Its own process: under pytest every warning is recorded, never shown.
+    command = "rates --method quantum --d 1 --budgets 16,32,64,128 --trials 1 --fn const-half"
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "qintlab.cli", *command.split()],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "".join(
+        f"warning: budget row {budget} has zero measured budget; excluded from fit\n" for budget in (16, 32, 64, 128)
+    ) + "error: fewer than 2 nonzero rows left to fit\n"
+    former = warnings.formatwarning
+    with pytest.warns(UserWarning, match="zero measured budget"):
+        assert main(command.split()) == 2
+    assert warnings.formatwarning is former
+
+
+def test_grover_sizes_the_run_before_building_the_oracle(monkeypatch, capsys):
+    # m = 15 at its 142 default iterations updates 1.5e8 amplitudes, under
+    # the bound; m = 16 (4.5e8) is refused.
+    def built(*args):
+        raise ValueError("oracle built")
+
+    monkeypatch.setattr(cli.grover, "BitOracle", built)
+    assert main(["grover", "--m", "15", "--marked", "0"]) == 2
+    assert capsys.readouterr().err == "error: oracle built\n"
 
 
 def test_method_choices_come_from_the_table(monkeypatch):

@@ -121,6 +121,13 @@ def test_det_and_mc_refuse_counts_above_the_stream_limit_before_evaluating(monke
         run(fn(unreachable, make_spec(2, 0, 1)))
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+@pytest.mark.parametrize("variance_reduced", [False, True])
+def test_mc_plan_refuses_fewer_than_one_sample(samples, variance_reduced):
+    with pytest.raises(ValueError, match=f"need at least one sample, got {samples}"):
+        plan_mc(fn(lambda p: p[:, 0]), samples, variance_reduced)
+
+
 def test_quantum_refuses_its_interpolation_target_before_interpolating(monkeypatch):
     calls = []
     monkeypatch.setattr(integrators, "interpolate", lambda *args: calls.append(args))
@@ -298,7 +305,7 @@ def test_quantum_exact_and_analytic_modes_agree_in_law():
     assert np.max(np.abs(law_exact - law_analytic)) <= 1e-12
 
     exact_vals = [integrate_quantum(f, eps1, np.random.default_rng(s)).estimate for s in range(60)]
-    law = amplitude_law(oracle.padded_mean(), oracle.n, oracle.n_padded, p["M"])
+    law = amplitude_law(oracle.padded_values.sum(), oracle.n, p["M"])
     B = p["B"]
     analytic_vals = [
         p["interpolant_integral"] + 2.0 * B * law.draw(np.random.default_rng(1000 + s)).value - B
@@ -506,7 +513,7 @@ def test_expectation_builds_one_law_for_its_three_runs(monkeypatch):
         lambda r, n: np.zeros(n), lambda p: p, 0.3, np.random.default_rng(0), ledger=ledger
     )
     assert len(built) == 1
-    assert ledger.quantum_queries == 3 * built[0][3]
+    assert ledger.quantum_queries == 3 * built[0][2]
 
 
 def test_expectation_estimates_are_pinned():

@@ -39,7 +39,7 @@ def test_outcome_laws_sum_to_one_and_agree(values, M):
     assert np.max(np.abs(exact - analytic)) <= 1e-12
     laws = (
         outcome_law(oracle, M, "exact"),
-        amplitude_law(oracle.padded_mean(), oracle.n, oracle.n_padded, M),
+        amplitude_law(oracle.padded_values.sum(), oracle.n, M),
     )
     for law in laws:
         assert abs(law.probs.sum() - 1.0) <= 1e-12 and law.probs.min() >= 0.0

@@ -89,6 +89,14 @@ def test_identity_leaves_state_unchanged():
     assert np.allclose(out.amplitudes, state.amplitudes)
 
 
+def test_each_local_unitary_charges_one_gate():
+    ledger = ResourceLedger()
+    state = basis_state(2, 0)
+    for gate in (LocalUnitary(HADAMARD, (1,)), LocalUnitary(np.eye(4), (2, 1))):
+        state = apply_local_unitary(state, gate, ledger)
+    assert ledger.as_dict() == {"classical_evals": 0, "quantum_queries": 0, "random_bits": 0, "gates": 2}
+
+
 def test_target_out_of_range():
     with pytest.raises(ValueError):
         apply_local_unitary(basis_state(2, 0), LocalUnitary(np.eye(2), (3,)))

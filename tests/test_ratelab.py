@@ -175,6 +175,16 @@ def test_run_convergence_validation():
         run_convergence("quantum", SPEC1, [4, 8, 12, 16], trials=1, seed=0, fn=f)
 
 
+@pytest.mark.parametrize("spec, trials, message", [
+    (SPEC1, 0, "need at least one trial"),
+    (make_spec(2, 0, 1), 1, "function was built for a different class spec"),
+])
+def test_run_convergence_refuses_zero_trials_and_a_function_of_another_class(spec, trials, message):
+    f = suite_member(SPEC1, "quadratic")
+    with pytest.raises(ConfigurationError, match=message):
+        run_convergence("det", spec, [4, 8, 16, 32], trials=trials, seed=0, fn=f)
+
+
 def test_method_table_fits_each_method_on_its_cost():
     cost = {
         "det": lambda t: t.classical_evals,
