@@ -273,7 +273,6 @@ def outcome_law(oracle: RealOracle, M: int, mode: str = "auto") -> OutcomeLaw:
     (``exact_outcome_distribution``), "analytic" the closed-form law of the
     folded estimate, and "auto" is exact while ``simulates(oracle.n, M)``.
     """
-    _log2_power_of_two(M)
     if mode not in ("auto", "exact", "analytic"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto":

@@ -13,10 +13,6 @@ from . import amp_est, grover, holder, integrators, ratelab
 from .holder import make_spec
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def _parse_budget_token(token: str) -> int:
     token = token.strip()
     if "^" in token:
@@ -73,7 +69,7 @@ def cmd_grover(args) -> int:
     analytic = grover.success_probability_analytic(2**args.m, 1, iterations)
     from .qsim import measure_shots
 
-    outcomes = measure_shots(state, args.shots, _rng(args.seed))
+    outcomes = measure_shots(state, args.shots, np.random.default_rng(args.seed))
     empirical = float((outcomes == args.marked).mean())
     print(f"m={args.m} marked={args.marked} iterations={iterations} shots={args.shots}")
     print(f"analytic success probability: {analytic:.6f}")
@@ -95,7 +91,7 @@ def cmd_mean(args) -> int:
         M = amp_est.smallest_power_for_error(args.eps)
     except OverflowError as exc:
         raise ratelab.ConfigurationError(f"--eps {args.eps} is too small: its power M overflows") from exc
-    rng = _rng(args.seed)
+    rng = np.random.default_rng(args.seed)
     if args.dist == "const":
         values = np.full(args.n, 0.5)
     elif args.dist == "alternating":
@@ -117,7 +113,7 @@ def cmd_mean(args) -> int:
 def cmd_fool(args) -> int:
     spec = make_spec(args.d, args.k, args.alpha)
     n_bumps = _sized(args.n, "fooling bump count", f"--n {args.n}")
-    rng = _rng(args.seed)
+    rng = np.random.default_rng(args.seed)
     if args.signs == "all-plus":
         signs = np.ones(n_bumps)
     elif args.signs == "alternating":
@@ -159,28 +155,26 @@ def cmd_integrate(args) -> int:
 
 def _integrate_rows(args) -> list[dict]:
     spec = make_spec(args.d, args.k, args.alpha)
-    rows = []
     if args.method == "rand-quantum":
-        def sampler(rng, n):
-            return (rng.random(n) < args.p).astype(float)
-
-        for trial in range(args.trials):
-            rng = ratelab.trial_rng(args.seed, 0, trial)
+        def sample(rng):
             ledger = integrators.ResourceLedger()
-            est = integrators.expectation_randomized_quantum(
-                sampler, lambda pts: pts, args.eps1, rng, ledger=ledger
+            estimate = integrators.expectation_randomized_quantum(
+                lambda r, n: (r.random(n) < args.p).astype(float), args.eps1, rng, ledger
             )
-            rows.append({"trial": trial, "estimate": est, "error": abs(est - args.p),
-                         **ledger.as_dict()})
+            return integrators.IntegrationResult(estimate, ledger)
+
+        exact = args.p
     else:
         fn = _pick_function(args, spec)
         sample = ratelab.METHODS[args.method].by_eps(fn, args.eps1, args.mode)
-        for trial in range(args.trials):
-            result = sample(ratelab.trial_rng(args.seed, 0, trial))
-            row = {"trial": trial, "estimate": result.estimate, **result.ledger.as_dict()}
-            if fn.exact_integral is not None:
-                row["error"] = abs(result.estimate - fn.exact_integral)
-            rows.append(row)
+        exact = fn.exact_integral
+    rows = []
+    for trial in range(args.trials):
+        result = sample(ratelab.trial_rng(args.seed, 0, trial))
+        row = {"trial": trial, "estimate": result.estimate, **result.ledger.as_dict()}
+        if exact is not None:
+            row["error"] = abs(result.estimate - exact)
+        rows.append(row)
     return rows
 
 

@@ -20,9 +20,8 @@ from .qsim import QuantumState, basis_state, measure, probability_vector, walsh_
 class BitOracle:
     """A predicate on {0, ..., 2**m - 1} exposed as a sign-flip oracle.
 
-    ``marked`` is either an iterable of marked indices or a predicate on
-    indices.  The query counter of an attached ledger increments by exactly
-    one per quantum application.
+    ``marked`` is an iterable of marked indices.  The query counter of an
+    attached ledger increments by exactly one per quantum application.
     """
 
     def __init__(self, m: int, marked):
@@ -30,14 +29,10 @@ class BitOracle:
             raise ValueError(f"need at least one qubit, got m={m}")
         n = 2**m
         mask = np.zeros(n, dtype=bool)
-        if callable(marked):
-            for index in range(n):
-                mask[index] = bool(marked(index))
-        else:
-            indices = np.asarray(list(marked), dtype=int)
-            if indices.size and (indices.min() < 0 or indices.max() >= n):
-                raise ValueError(f"marked indices out of range for m={m}")
-            mask[indices] = True
+        indices = np.asarray(list(marked), dtype=int)
+        if indices.size and (indices.min() < 0 or indices.max() >= n):
+            raise ValueError(f"marked indices out of range for m={m}")
+        mask[indices] = True
         self.m = m
         self.domain_size = n
         self.mask = mask

@@ -212,14 +212,6 @@ def _worst_quotient(
     return worst, witness
 
 
-def measure_constants(
-    f: HolderFunction, resolution: int | None = None
-) -> tuple[float, float]:
-    """Measured (worst Holder quotient, sup norm) on the sampling grid."""
-    report = verify_membership(f, resolution)
-    return report.worst_quotient, report.sup_norm
-
-
 def verify_membership(f: HolderFunction, resolution: int | None = None) -> MembershipReport:
     """Sampled check of the sup bound and the order-k Holder condition."""
     resolution = resolution or _DEFAULT_RESOLUTION.get(f.spec.d, 8)
@@ -360,8 +352,8 @@ def _raw_suite(spec: HolderClassSpec) -> list[HolderFunction]:
 
 
 def _fit_into_class(raw: HolderFunction) -> HolderFunction:
-    quotient, sup = measure_constants(raw)
-    return _scaled(raw, min(1.0, _SUITE_MARGIN / max(quotient, sup, 1e-12)))
+    report = verify_membership(raw)
+    return _scaled(raw, min(1.0, _SUITE_MARGIN / max(report.worst_quotient, report.sup_norm, 1e-12)))
 
 
 def test_suite(spec: HolderClassSpec) -> list[HolderFunction]:
@@ -470,7 +462,7 @@ def _poly_height_factor(spec: HolderClassSpec) -> float:
     ell = 2
     signs = np.array([(-1.0) ** i for i in range(ell**spec.d)])
     base = _build_instance(spec, ell, signs, height=(1.0 / ell) ** (spec.k + spec.alpha))
-    quotient, sup = measure_constants(base.as_function())
+    quotient = verify_membership(base.as_function()).worst_quotient
     target = 1.0 - 2 * MEMBERSHIP_TOL
     factor = 2.0 ** math.floor(math.log2(target / max(quotient, 1e-12)))
     while base.height * factor > target:

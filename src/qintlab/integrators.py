@@ -105,49 +105,42 @@ class IntegrationResult:
     parameters: dict = field(default_factory=dict)
 
 
-class CoinStream:
-    """Fair-coin randomness source; every flip costs one random bit.
+def draw_indices(
+    rng: np.random.Generator, n_outcomes: int, count: int, ledger: ResourceLedger | None = None
+) -> tuple[np.ndarray, int]:
+    """count uniform indices below n_outcomes from fair coin flips; returns (indices, attempts).
 
-    Uniform node selection over N outcomes draws ceil(log2 N) bits per
-    attempt and rejects values >= N, so power-of-two ranges never reject.
+    Each attempt flips ceil(log2 n_outcomes) coins and rejects values >=
+    n_outcomes, so power-of-two ranges never reject.  Attempts are batched
+    for speed, but ``ledger`` is charged one random bit per flip a
+    sequential drawer would spend: every attempt up to and including the
+    one producing the last needed index.
     """
-
-    def __init__(self, rng: np.random.Generator, ledger: ResourceLedger | None = None):
-        self.rng = rng
-        self.ledger = ledger
-
-    def draw_indices(self, n_outcomes: int, count: int) -> tuple[np.ndarray, int]:
-        """count uniform indices below n_outcomes; returns (indices, attempts).
-
-        Batched internally for speed, but bits are charged exactly as a
-        sequential drawer would spend them: every attempt up to and
-        including the one producing the last needed index.
-        """
-        if n_outcomes < 1:
-            raise ValueError("need at least one outcome")
-        if n_outcomes == 1:
-            return np.zeros(count, dtype=int), count
-        bits = (n_outcomes - 1).bit_length()
-        accepted = [np.empty(0, dtype=np.int64)]
-        have = 0
-        attempts = 0
-        while have < count:
-            need = count - have
-            batch = max(16, int(need * 2**bits / n_outcomes * 1.2))
-            draws = self.rng.integers(0, 2**bits, size=batch)
-            good_pos = np.flatnonzero(draws < n_outcomes)
-            if len(good_pos) >= need:
-                used = int(good_pos[need - 1]) + 1
-                accepted.append(draws[good_pos[:need]])
-                have = count
-            else:
-                used = batch
-                accepted.append(draws[good_pos])
-                have += len(good_pos)
-            attempts += used
-            if self.ledger is not None:
-                self.ledger.random_bits += bits * used
-        return np.concatenate(accepted), attempts
+    if n_outcomes < 1:
+        raise ValueError("need at least one outcome")
+    if n_outcomes == 1:
+        return np.zeros(count, dtype=int), count
+    bits = (n_outcomes - 1).bit_length()
+    accepted = [np.empty(0, dtype=np.int64)]
+    have = 0
+    attempts = 0
+    while have < count:
+        need = count - have
+        batch = max(16, int(need * 2**bits / n_outcomes * 1.2))
+        draws = rng.integers(0, 2**bits, size=batch)
+        good_pos = np.flatnonzero(draws < n_outcomes)
+        if len(good_pos) >= need:
+            used = int(good_pos[need - 1]) + 1
+            accepted.append(draws[good_pos[:need]])
+            have = count
+        else:
+            used = batch
+            accepted.append(draws[good_pos])
+            have += len(good_pos)
+        attempts += used
+        if ledger is not None:
+            ledger.random_bits += bits * used
+    return np.concatenate(accepted), attempts
 
 
 def _beta(spec: HolderClassSpec) -> float:
@@ -196,7 +189,8 @@ def _coupled_grid(spec: HolderClassSpec, params: dict) -> Grid:
 class Plan:
     """The trial-invariant part of a randomized run, built by a ``plan_*`` function.
 
-    ``key`` names the call the plan serves; the sampler refuses any other.
+    ``key`` is that call, ``(plan_x, *args)``; ``_planned`` serves the plan
+    to no other.
     ``charges`` holds the classical evaluations the projection spent.
     ``base`` is the projection's exact integral, ``target`` the function
     Monte Carlo trials sample (the residual, or f itself for plain Monte
@@ -216,11 +210,14 @@ class Plan:
     law: amp_est.OutcomeLaw | None = None
 
 
-def _checked(plan: Plan | None, key: tuple) -> Plan | None:
-    if plan is not None and plan.key != key:
+def _planned(plan: Plan | None, build: Callable[..., Plan], *args) -> Plan:
+    """``plan`` if the call ``build(*args)`` built it; a new ``build(*args)`` if ``plan`` is None."""
+    if plan is None:
+        return build(*args)
+    if plan.key != (build, *args):
         raise ValueError(
-            f"plan built for {plan.key[0]}{plan.key[2:]} on {plan.key[1]!r} "
-            f"cannot serve {key[0]}{key[2:]} on {key[1]!r}"
+            f"plan built for {plan.key[0].__name__}{plan.key[2:]} on {plan.key[1]!r} "
+            f"cannot serve {build.__name__}{args[1:]} on {args[0]!r}"
         )
     return plan
 
@@ -254,7 +251,7 @@ def plan_mc(f: HolderFunction, samples: int, variance_reduced: bool = False) -> 
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     check_count(samples, "mcvr sample count" if variance_reduced else "mc sample count")
-    key = ("mc", f, samples, variance_reduced)
+    key = (plan_mc, f, samples, variance_reduced)
     params: dict = {"method": "mcvr" if variance_reduced else "mc", "samples": samples}
     charges = ResourceLedger()
     if not variance_reduced:
@@ -279,7 +276,7 @@ def integrate_mc(
     order on class members.  A ``plan`` from ``plan_mc`` with the same
     arguments skips the projection.
     """
-    plan = _checked(plan, ("mc", f, samples, variance_reduced)) or plan_mc(f, samples, variance_reduced)
+    plan = _planned(plan, plan_mc, f, samples, variance_reduced)
     ledger = _charged(ledger, plan)
     # The generator fills its draws from one stream, so drawing the points
     # block by block gives the same points as one draw per chunk.
@@ -303,7 +300,7 @@ def plan_coin(f: HolderFunction, eps1: float) -> Plan:
     grid = _coupled_grid(f.spec, params)
     params["draws"] = draws
     params["bits_per_attempt"] = (grid.size - 1).bit_length() if grid.size > 1 else 0
-    return Plan(("coin", f, eps1), params, charges, proj.exact_integral, grid_values=g.on_grid(grid))
+    return Plan((plan_coin, f, eps1), params, charges, proj.exact_integral, grid_values=g.on_grid(grid))
 
 
 def integrate_coin(
@@ -320,11 +317,11 @@ def integrate_coin(
     ceil(log2 N) bits per rejection attempt.  No quantum queries.  A
     ``plan`` from ``plan_coin`` with the same arguments skips the projection.
     """
-    plan = _checked(plan, ("coin", f, eps1)) or plan_coin(f, eps1)
+    plan = _planned(plan, plan_coin, f, eps1)
     ledger = _charged(ledger, plan)
     params = dict(plan.parameters)
     draws = params["draws"]
-    indices, params["draw_attempts"] = CoinStream(rng, ledger).draw_indices(params["N"], draws)
+    indices, params["draw_attempts"] = draw_indices(rng, params["N"], draws, ledger)
     total = 0.0
     for start in range(0, draws, CHUNK):
         total += float(plan.grid_values(indices[start : start + CHUNK], ledger).sum())
@@ -370,7 +367,7 @@ def plan_quantum(f: HolderFunction, eps1: float, mode: str = "query") -> Plan:
         raise ValueError(f"eps1 must lie in (0, 1/2), got {eps1}")
     if mode not in ("query", "bit"):
         raise ValueError(f"mode must be 'query' or 'bit', got {mode!r}")
-    key = ("quantum", f, eps1, mode)
+    key = (plan_quantum, f, eps1, mode)
     charges = ResourceLedger()
     inv = 1.0 / eps1
     params: dict = {"method": "quantum", "mode": mode, "eps1": eps1}
@@ -425,7 +422,7 @@ def integrate_quantum(
     ``plan`` from ``plan_quantum`` with the same f, eps1 and mode, only the
     outcome draw runs.
     """
-    plan = _checked(plan, ("quantum", f, eps1, mode)) or plan_quantum(f, eps1, mode)
+    plan = _planned(plan, plan_quantum, f, eps1, mode)
     ledger = _charged(ledger, plan)
     estimate = plan.base
     if plan.law is not None:
@@ -436,35 +433,29 @@ def integrate_quantum(
 
 def expectation_randomized_quantum(
     sampler,
-    f_oracle,
     eps: float,
     rng: np.random.Generator,
     ledger: ResourceLedger | None = None,
 ) -> float:
     """Expectation of a bounded random variable with a free random generator.
 
-    Draws n = ceil(72 / eps**2) sample points, reads them through an
-    approximate value oracle accurate to eps/3, and quantum-estimates their
-    discrete mean to eps/3 with failure probability at most 1/8 (a 3-run
-    median boost of the single-run estimator).  Together with the Chebyshev
-    bound on the empirical mean this gives total error at most eps with
-    probability at least 3/4.  The three runs draw from one closed-form
-    outcome law.
-
-    ``sampler(rng, n)`` must return the sample points; ``f_oracle(points)``
-    their approximate values with absolute error at most eps/3.  The draws
-    themselves are cost-free in this model; only quantum queries and the
-    measurement bits are charged to the ledger.
+    ``sampler(rng, n)`` returns the values of n = ceil(72 / eps**2) draws,
+    each within eps/3 of the variable's value at its draw.  Their discrete
+    mean is quantum-estimated to eps/3 with failure probability at most 1/8
+    (a 3-run median boost of the single-run estimator, all three runs drawn
+    from one closed-form outcome law).  With the Chebyshev bound on the
+    empirical mean, the total error is at most eps with probability at
+    least 3/4.  The draws are cost-free in this model; only quantum queries
+    and the measurement bits are charged to the ledger.
     """
     if not 0.0 < eps <= 0.5:
         raise ValueError(f"eps must lie in (0, 1/2], got {eps}")
     # Named here, before eps**2 underflows to zero in the division below.
     eps_count(eps, -2.0, "rand-quantum sample count")
     n = check_count(72.0 / eps**2, "rand-quantum sample count")
-    points = sampler(rng, n)
-    values = np.asarray(f_oracle(points), dtype=float)
+    values = np.asarray(sampler(rng, n), dtype=float)
     if values.shape != (n,):
-        raise ValueError(f"oracle returned shape {values.shape}, expected ({n},)")
+        raise ValueError(f"sampler returned shape {values.shape}, expected ({n},)")
     shift = 1.0 + eps / 3.0
     scaled = (np.clip(values, -shift, shift) + shift) / (2.0 * shift)
     power = amp_est.smallest_power_for_error(eps / (3.0 * 2.0 * shift))

@@ -94,10 +94,6 @@ class LocalUnitary:
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def arity(self) -> int:
-        return len(self.targets)
-
 
 def basis_state(m: int, index: int) -> QuantumState:
     """The classical state with all amplitude on one basis vector."""

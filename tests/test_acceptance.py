@@ -19,7 +19,7 @@ from qintlab.grover import (
 )
 from qintlab.holder import adversarial_signs, fooling_family, make_spec, suite_member
 from qintlab.integrators import (
-    CoinStream,
+    draw_indices,
     expectation_randomized_quantum,
     integrate_coin,
     integrate_deterministic,
@@ -177,7 +177,7 @@ def test_c08_coin_parity_and_bit_cost():
     parity = all(0.25 <= r <= 4.0 for r in ratios)
 
     ledger = ResourceLedger()
-    _, attempts = CoinStream(np.random.default_rng(0), ledger).draw_indices(8, 1000)
+    _, attempts = draw_indices(np.random.default_rng(0), 8, 1000, ledger)
     bits_exact = attempts == 1000 and ledger.random_bits == 3 * 1000
     ok = parity and bits_exact
     report(
@@ -201,7 +201,7 @@ def test_c09_randomized_quantum_pipeline():
     hits = 0
     for trial in range(200):
         rng = np.random.default_rng(42 + trial)
-        estimate = expectation_randomized_quantum(sampler, lambda pts: pts, eps, rng)
+        estimate = expectation_randomized_quantum(sampler, eps, rng)
         hits += abs(estimate - 0.3) <= eps
     n = seen["n"]
 

@@ -438,3 +438,12 @@ def test_coin_names_the_draw_count_that_overflows(capsys):
     err = capsys.readouterr().err
     assert "the coin draw count eps1^-2 = 10^600.0 overflows a float" in err
     assert "division by zero" not in err
+
+
+@pytest.mark.parametrize("method", ["det", "mc", "mcvr", "coin", "quantum", "rand-quantum"])
+def test_every_integrate_report_has_one_column_order(capsys, method):
+    assert main(f"integrate --method {method} --d 1 --eps1 0.2 --trials 2".split()) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "trial,estimate,classical_evals,quantum_queries,random_bits,gates,error"
+    assert len(rows) == 2 and all(len(row.split(",")) == 7 for row in rows)
+

@@ -15,7 +15,7 @@ from qintlab.amp_est import (
 )
 from qintlab.holder import HolderFunction, adversarial_signs, fooling_family, make_spec, suite_member
 from qintlab.integrators import (
-    CoinStream,
+    draw_indices,
     expectation_randomized_quantum,
     integrate_coin,
     integrate_deterministic,
@@ -152,8 +152,7 @@ def test_mc_eval_accounting():
 
 def test_coin_stream_power_of_two_is_rejection_free():
     ledger = ResourceLedger()
-    coin = CoinStream(np.random.default_rng(0), ledger)
-    indices, attempts = coin.draw_indices(8, 1000)
+    indices, attempts = draw_indices(np.random.default_rng(0), 8, 1000, ledger)
     assert attempts == 1000
     assert ledger.random_bits == 3000
     assert indices.min() >= 0 and indices.max() < 8
@@ -162,8 +161,7 @@ def test_coin_stream_power_of_two_is_rejection_free():
 def test_coin_stream_rejection_bit_cost():
     # drawing below 6 uses 3-bit attempts accepted with probability 6/8
     ledger = ResourceLedger()
-    coin = CoinStream(np.random.default_rng(1), ledger)
-    indices, attempts = coin.draw_indices(6, 20000)
+    indices, attempts = draw_indices(np.random.default_rng(1), 6, 20000, ledger)
     assert ledger.random_bits == 3 * attempts
     mean_bits = ledger.random_bits / 20000
     assert 3.8 <= mean_bits <= 4.2  # expectation 3 * 8/6 = 4
@@ -173,8 +171,7 @@ def test_coin_stream_rejection_bit_cost():
 
 
 def test_coin_stream_draws_are_uniform_chunk_boundary():
-    coin = CoinStream(np.random.default_rng(3))
-    indices, _ = coin.draw_indices(5, 17)
+    indices, _ = draw_indices(np.random.default_rng(3), 5, 17)
     assert len(indices) == 17 and indices.max() < 5
 
 
@@ -476,7 +473,7 @@ def test_classical_methods_reject_non_finite_functions(run, value):
 def test_expectation_validates_eps():
     with pytest.raises(ValueError):
         expectation_randomized_quantum(
-            lambda r, n: np.zeros(n), lambda p: p, 0.6, np.random.default_rng(0)
+            lambda r, n: np.zeros(n), 0.6, np.random.default_rng(0)
         )
 
 
@@ -487,7 +484,7 @@ def test_expectation_draws_72_over_eps_squared_points():
         seen["n"] = n
         return np.zeros(n)
 
-    expectation_randomized_quantum(sampler, lambda p: p, 0.1, np.random.default_rng(0))
+    expectation_randomized_quantum(sampler, 0.1, np.random.default_rng(0))
     assert seen["n"] == 7200
 
 
@@ -495,7 +492,7 @@ def test_expectation_constant_variable():
     c = 0.42
     for seed in range(20):
         est = expectation_randomized_quantum(
-            lambda r, n: np.full(n, c), lambda p: p, 0.3, np.random.default_rng(seed)
+            lambda r, n: np.full(n, c), 0.3, np.random.default_rng(seed)
         )
         assert abs(est - c) <= 0.1  # eps/3 of estimation error only
 
@@ -510,7 +507,7 @@ def test_expectation_builds_one_law_for_its_three_runs(monkeypatch):
     monkeypatch.setattr(amp_est, "amplitude_law", counting_law)
     ledger = ResourceLedger()
     expectation_randomized_quantum(
-        lambda r, n: np.zeros(n), lambda p: p, 0.3, np.random.default_rng(0), ledger=ledger
+        lambda r, n: np.zeros(n), 0.3, np.random.default_rng(0), ledger=ledger
     )
     assert len(built) == 1
     assert ledger.quantum_queries == 3 * built[0][2]
@@ -522,8 +519,7 @@ def test_expectation_estimates_are_pinned():
     for seed, value in pinned.items():
         ledger = ResourceLedger()
         est = expectation_randomized_quantum(
-            lambda r, n: (r.random(n) < 0.3).astype(float), lambda p: p, 0.1,
-            np.random.default_rng(seed), ledger=ledger,
+            lambda r, n: (r.random(n) < 0.3).astype(float), 0.1, np.random.default_rng(seed), ledger=ledger
         )
         assert est == value
         assert ledger == ResourceLedger(quantum_queries=768, random_bits=24, gates=24654)
@@ -549,7 +545,6 @@ def test_expectation_bernoulli_pipeline():
         rng = np.random.default_rng(seed)
         est = expectation_randomized_quantum(
             lambda r, n: (r.random(n) < 0.3).astype(float),
-            lambda pts: pts,
             eps,
             rng,
             ledger=ledger,

@@ -17,7 +17,7 @@ from qintlab.amp_est import (
     phase_estimation_distribution,
 )
 from qintlab.holder import HolderFunction, make_spec
-from qintlab.integrators import CoinStream, integrate_coin, integrate_mc, integrate_quantum
+from qintlab.integrators import draw_indices, integrate_coin, integrate_mc, integrate_quantum
 from qintlab.ledger import ResourceLedger
 from qintlab.quadrature import interpolate
 
@@ -49,8 +49,7 @@ def test_outcome_laws_sum_to_one_and_agree(values, M):
 @given(n_outcomes=st.integers(1, 1000), count=st.integers(0, 400), seed=st.integers(0, 2**32 - 1))
 def test_coin_stream_charges_bits_times_attempts(n_outcomes, count, seed):
     ledger = ResourceLedger()
-    coin = CoinStream(np.random.default_rng(seed), ledger)
-    indices, attempts = coin.draw_indices(n_outcomes, count)
+    indices, attempts = draw_indices(np.random.default_rng(seed), n_outcomes, count, ledger)
     bits = (n_outcomes - 1).bit_length()
     assert ledger.random_bits == bits * attempts
     assert attempts >= count and len(indices) == count
