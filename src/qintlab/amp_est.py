@@ -88,13 +88,11 @@ class RealOracle:
             raise ValueError("oracle needs a non-empty 1-d value vector")
         if vals.min() < -1e-12 or vals.max() > 1.0 + 1e-12:
             raise ValueError("oracle values must lie in [0, 1]")
-        vals = np.clip(vals, 0.0, 1.0)
         self.n = int(vals.size)
         self.n_padded = _padded(self.n)
         self.m_data = self.n_padded.bit_length() - 1
-        padded = np.zeros(self.n_padded)
-        padded[: self.n] = vals
-        self.padded_values = padded
+        self.padded_values = np.zeros(self.n_padded)
+        np.clip(vals, 0.0, 1.0, out=self.padded_values[: self.n])
 
     def padded_mean(self) -> float:
         return float(self.padded_values.sum() / self.n_padded)

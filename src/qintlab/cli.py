@@ -99,6 +99,9 @@ def cmd_mean(args) -> int:
     else:
         values = rng.random(args.n)
     oracle = amp_est.RealOracle(values)
+    if args.mode == "exact":
+        # The simulated law costs time in proportion to this product.
+        _sized(oracle.n_padded * M, "exact law's n_padded * M", f"--n {args.n} at --eps {args.eps}")
     truth = float(values.mean())
     law = amp_est.outcome_law(oracle, M, args.mode)
     runs = [law.draw(rng) for _ in range(args.trials)]
@@ -171,10 +174,8 @@ def _integrate_rows(args) -> list[dict]:
     rows = []
     for trial in range(args.trials):
         result = sample(ratelab.trial_rng(args.seed, 0, trial))
-        row = {"trial": trial, "estimate": result.estimate, **result.ledger.as_dict()}
-        if exact is not None:
-            row["error"] = abs(result.estimate - exact)
-        rows.append(row)
+        rows.append({"trial": trial, "estimate": result.estimate, **result.ledger.as_dict(),
+                     "error": abs(result.estimate - exact)})
     return rows
 
 

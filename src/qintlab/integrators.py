@@ -1,52 +1,33 @@
 """The four integration algorithm families, each with full cost accounting.
 
-Every routine returns an estimate together with the ledger of the run and
-the parameters actually used, so experiments are reproducible from the
-result alone.  The variance-reduced methods all share one skeleton: project
-onto a cheap interpolant, integrate the projection exactly, and spend the
-stochastic or quantum budget only on the small residual
+Every routine returns an estimate with the ledger of the run and the
+parameters actually used.  The variance-reduced methods share one skeleton:
+project onto a cheap interpolant, integrate the projection exactly, and
+spend the stochastic or quantum budget only on the small residual
 
     estimate = I(Pf) + (approximate midpoint rule of f - Pf).
 
-Two steps carry this skeleton for every plan that uses it.  The projection
-step (``_project``) takes the plan's float node target, clamps it to at
-least one cell, (k+1)**d nodes, sizes it, and only then interpolates and
-forms the residual; it records ``n_points``.  The coupled-grid step
-(``_coupled_grid``), for the coin and quantum methods, turns n and eps1
-into the discretisation grid the residual's midpoint rule runs on and
-records ``N``, ``ell_N`` and ``beta``.
+``_project`` sizes the projection's node target before any node is
+evaluated, and ``_coupled_grid`` turns n and eps1 into the grid on which
+the coin and quantum methods run the residual's midpoint rule.
 
-Each randomized method is split into a plan and a sample.  ``plan_mc``,
-``plan_coin`` and ``plan_quantum`` do the work that does not depend on the
-random stream: the projection; for the coin method the residual on the
-coupled grid (``HolderFunction.on_grid``), which all trials' draws read,
-so per-axis tables, once the draws have read as many points as the tables
-hold, are built once per row; and for the quantum method the sup probe, the
-residual stream over the coupled grid and the outcome law of the
-estimation register.  That law is the simulated circuit's or the closed
-form, as ``amp_est.simulates`` decides from the node count; no argument
-overrides it.  Every size bound is checked in this module before the work
-it bounds: ``check_count`` refuses det cells, mc and mcvr samples, coin draws,
-every interpolation target, quantum coupled-grid nodes, randomized
-quantum samples and the command line's mean items, fooling bumps and
-Grover amplitude updates past ``MAX_STREAM``, and names a count past a float;
-``eps_count`` names a precision's power that overflows a float; both raise
-OverflowError naming the count.  A coupled grid whose size the class's
-beta, not eps1, puts past the largest array raises ValueError naming beta.
-``integrate_mc``, ``integrate_coin`` and ``integrate_quantum`` sample one
-trial from a plan: the random draws, the residual values they select, and
-the ledger charges.  Every trial's ledger
-is charged the plan's classical evaluations, because each trial stands for
-a full run.  Called without a plan, an ``integrate_*`` routine builds one
-first, so a planned and a planless call on the same random stream return
-the same estimate, ledger and parameters.  A non-finite estimate raises
-ValueError.
+Each randomized method is a ``Plan`` of the work that does not depend on
+the random stream (``plan_mc``, ``plan_coin``, ``plan_quantum``) and one
+sample per trial (``integrate_*``).  A sample makes the random draws and
+charges its ledger, the plan's classical evaluations included, so every
+trial's ledger reads as a full run.  ``integrate_*`` gets its plan from
+``_planned``: the ``plan=`` passed if the same call built it, else a new
+one, so a planned and a planless call on one stream agree bit for bit.
+Coin draws come from ``draw_indices``, which charges every fair-coin bit a
+sequential rejection sampler would spend.
 
-Parameter couplings fix every proportionality constant to one, with the
-documented exceptions: the discretisation grid N is kept at least four
-times the interpolation budget, grids round up to perfect d-th powers, and
-the Grover-power budget is the smallest power of two whose worst-case
-single-run error bound stays below the requested precision.
+Every size bound is checked here before the work it bounds: ``check_count``
+refuses counts past ``MAX_STREAM`` or a float and ``eps_count`` a
+precision's power past a float, both with an OverflowError naming the
+count.  Proportionality constants are one, except that the coupled grid N
+is at least four times the interpolation budget, grids round up to perfect
+d-th powers, and the Grover power is the smallest power of two whose
+single-run error bound meets the precision.
 """
 
 from __future__ import annotations

@@ -447,3 +447,13 @@ def test_every_integrate_report_has_one_column_order(capsys, method):
     assert header == "trial,estimate,classical_evals,quantum_queries,random_bits,gates,error"
     assert len(rows) == 2 and all(len(row.split(",")) == 7 for row in rows)
 
+
+def test_mean_exact_refuses_register_work_above_the_stream_limit(monkeypatch, capsys):
+    # n_padded * M = 64 * 128: the simulated law's cost, checked before it runs.
+    monkeypatch.setattr(integrators, "MAX_STREAM", 8000)
+    assert main("mean --n 64 --eps 0.05 --mode exact --trials 3".split()) == 2
+    captured = capsys.readouterr()
+    assert "--n 64 at --eps 0.05 is too large" in captured.err
+    assert "n_padded * M 8192 is more than the 8000" in captured.err and captured.out == ""
+    # The closed form does not simulate the register.
+    assert main("mean --n 64 --eps 0.05 --mode analytic --trials 3".split()) == 0
