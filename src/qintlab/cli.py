@@ -167,13 +167,16 @@ def _integrate_rows(args) -> list[dict]:
             return integrators.IntegrationResult(estimate, ledger)
 
         exact = args.p
+        stream = ratelab.trial_rng
     else:
         fn = _pick_function(args, spec)
-        sample = ratelab.METHODS[args.method].by_eps(fn, args.eps1, args.mode)
+        method = ratelab.METHODS[args.method]
+        sample = method.by_eps(fn, args.eps1, args.mode)
         exact = fn.exact_integral
+        stream = method.stream
     rows = []
     for trial in range(args.trials):
-        result = sample(ratelab.trial_rng(args.seed, 0, trial))
+        result = sample(stream(args.seed, 0, trial))
         rows.append({"trial": trial, "estimate": result.estimate, **result.ledger.as_dict(),
                      "error": abs(result.estimate - exact)})
     return rows

@@ -103,5 +103,13 @@ class Grid:
         return cells
 
     def cell_index(self, axis_cells) -> np.ndarray:
-        """The C-order flat index of the cells given one index array per axis, axis 0 first."""
-        return np.ravel_multi_index(tuple(axis_cells), (self.ell,) * self.d)
+        """The C-order flat index of the cells given one index array per axis, axis 0 first.
+
+        The cells must be in range, as ``cell_of`` gives them: nothing is
+        checked.  At d = 1 the index is the cells themselves.
+        """
+        flat = axis_cells[0]
+        for cells in axis_cells[1:]:
+            flat = flat * self.ell
+            flat += cells
+        return flat

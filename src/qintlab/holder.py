@@ -243,11 +243,16 @@ _MULTISCALE_LAYOUT = {4: 8, 3: 9}
 
 
 def _axis_mean(columns: list[np.ndarray]) -> np.ndarray:
-    """The d columns summed in axis order onto zeros, then divided by d; inputs are kept."""
-    acc = np.zeros(columns[0].size)
-    for column in columns:
+    """The d columns summed in axis order onto zeros, then divided by d; inputs are kept.
+
+    Zeros plus the first column is that column plus 0.0, and dividing by one
+    changes nothing, so neither is done as such.
+    """
+    acc = columns[0] + 0.0
+    for column in columns[1:]:
         acc += column
-    acc /= len(columns)
+    if len(columns) > 1:
+        acc /= len(columns)
     return acc
 
 

@@ -263,7 +263,7 @@ def integrate_mc(
     # block by block gives the same points as one draw per chunk.
     d = f.spec.d
     total = 0.0
-    for vals in walk(lambda idx: plan.target(rng.random((idx.size, d)), ledger), samples):
+    for vals in walk(lambda idx: plan.target(rng.random((idx.size, d)), ledger), samples, d):
         total += float(vals.sum())
     return _finished(f, plan.base + total / samples, ledger, dict(plan.parameters))
 
@@ -320,14 +320,17 @@ def _scaled_residual_amplitude(g, bound, grid, keep):
     raw_sum = 0.0
     clipped = 0
     kept = []
-    for vals in walk(g.on_grid(grid), grid.size):
+    for vals in walk(g.on_grid(grid), grid.size, grid.d):
         raw_sum += float(vals.sum())
         # Scaled in place: walk yields a fresh array per chunk, so kept
         # chunks stay distinct.
         np.add(vals, bound, out=vals)
         np.divide(vals, 2.0 * bound, out=vals)
-        clipped += int(np.count_nonzero(vals < 0.0) + np.count_nonzero(vals > 1.0))
-        np.clip(vals, 0.0, 1.0, out=vals)
+        # B = 2 sup covers the usual chunk whole; only one that leaves [0, 1]
+        # is counted and clipped.
+        if vals.min() < 0.0 or vals.max() > 1.0:
+            clipped += int(np.count_nonzero(vals < 0.0) + np.count_nonzero(vals > 1.0))
+            np.clip(vals, 0.0, 1.0, out=vals)
         scaled_sum += float(vals.sum())
         if keep:
             kept.append(vals)

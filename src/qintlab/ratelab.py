@@ -145,12 +145,18 @@ class Method:
     fitted on.  Samplers look the ``integrate_*`` functions up in this
     module at call time, once per trial, so rebinding them here reaches
     every trial; det, which draws nothing, calls ``integrate_deterministic``
-    once, when its sampler is built.
+    once, when its sampler is built.  ``draws`` is False for a method whose
+    samplers read no stream: its trials get None from ``stream``.
     """
 
     by_budget: Callable
     by_eps: Callable
     cost: Callable[[ResourceLedger], int]
+    draws: bool = True
+
+    def stream(self, seed: int, budget_index: int, trial_index: int) -> np.random.Generator | None:
+        """The stream a trial's sampler is given: ``trial_rng``'s, or None if the method draws nothing."""
+        return trial_rng(seed, budget_index, trial_index) if self.draws else None
 
 
 METHODS = {
@@ -158,6 +164,7 @@ METHODS = {
         lambda fn, budget, mode: _det(fn, round(budget ** (1.0 / fn.spec.d))),
         _det_by_eps,
         lambda led: led.classical_evals,
+        draws=False,
     ),
     "mc": Method(
         lambda fn, budget, mode: _mc(fn, budget),
@@ -199,7 +206,7 @@ def run_convergence(
 
     Deterministic given the seed: trial streams are split from
     (seed, budget index, trial index), so trial counts do not perturb each
-    other.  Each row builds its method's plan once and samples every trial
+    other; a method that draws nothing is given none.  Each row builds its method's plan once and samples every trial
     from it.  A row's budget is the lower median of its trials'
     costs, so it stays one trial's measured integer cost when the costs
     vary (coin rejection draws a varying number of bits).
@@ -229,7 +236,7 @@ def run_convergence(
             raise ConfigurationError(
                 f"{method} budget {budget} asks for sizes that do not fit: {exc}"
             ) from exc
-        results = [sample(trial_rng(seed, bi, ti)) for ti in range(trials)]
+        results = [sample(entry.stream(seed, bi, ti)) for ti in range(trials)]
         records = [record(r) for r in results]
         budget_used = statistics.median_low(entry.cost(r.ledger) for r in results)
         return BudgetRow(budget, budget_used, records)

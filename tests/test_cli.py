@@ -239,6 +239,15 @@ def test_integrate_rand_quantum_json(tmp_path):
     assert all(abs(r["estimate"] - 0.3) < 0.25 for r in rows)
 
 
+def test_integrate_det_trials_build_no_stream(monkeypatch, capsys):
+    def refused(*args):
+        raise AssertionError("a det trial built a stream")
+
+    monkeypatch.setattr(ratelab, "trial_rng", refused)
+    assert main(["integrate", "--method", "det", "--d", "2", "--eps1", "0.1", "--trials", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+
+
 def test_integrate_trials_draw_the_streams_rates_draws(tmp_path):
     # Trial t once drew default_rng(seed + t), so --seed 1 trial 1 and
     # --seed 2 trial 0 gave the same estimate.

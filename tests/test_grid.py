@@ -48,6 +48,21 @@ def test_cell_lookup_clips_one_into_the_last_cell():
     assert grid.cell_index(grid.cell_of(grid.points(idx)).T).tolist() == idx.tolist()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("ell", [1, 2, 7])
+def test_cell_index_is_the_c_order_ravel_of_the_looked_up_cells(d, ell):
+    # Every cell edge, 0.0 and 1.0 among them, and the double just below each
+    # inner edge and 1.0, in every combination across the axes.
+    edges = np.arange(ell + 1) / ell
+    axis = np.unique(np.concatenate([edges, np.nextafter(edges[1:], 0.0)]))
+    points = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    grid = Grid(ell, d)
+    cells = grid.cell_of(points)
+    expected = np.ravel_multi_index(tuple(cells.T), (ell,) * d)
+    assert grid.cell_index(cells.T).tolist() == expected.tolist()
+    assert grid.cell_index(list(cells.T)).tolist() == expected.tolist()
+
+
 def test_sub_cell_midpoints_are_one_cell_grid_axes_bitwise():
     # (2i + 1) / (2n), the node and midpoint axes as written before they
     # moved onto Grid, is (i + 0.5) / n rounded once.

@@ -270,6 +270,24 @@ def test_multiscale_evaluator_matches_the_per_column_loop_bitwise(d, base):
     assert f.evaluator(points).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_axis_mean_is_the_mean_onto_zeros_and_keeps_its_inputs(d):
+    rng = np.random.default_rng(d)
+    columns = [rng.normal(size=300) for _ in range(d)]
+    for column in columns:
+        column[::5] = -0.0
+    kept = [column.copy() for column in columns]
+    expected = np.zeros(300)
+    for column in columns:
+        expected += column
+    expected /= d
+    mean = holder._axis_mean(columns)
+    assert mean.tobytes() == expected.tobytes()
+    assert not np.signbit(mean[::5]).any()
+    mean += 1.0
+    assert all(c.tobytes() == k.tobytes() for c, k in zip(columns, kept))
+
+
 def _fooling_former(instance, points):
     # The fooling evaluator with its cell lookup written inline, as before
     # the lookup moved onto Grid.

@@ -252,6 +252,22 @@ def test_quantum_clip_counts_nodes_beyond_both_ends_of_the_bound(monkeypatch):
     assert p["clipped_nodes"] == below + above
 
 
+def test_residual_stream_clips_every_chunk_that_leaves_the_unit_interval(monkeypatch):
+    # With B = 1, chunk 0 passes the bound only above, chunk 1 only below
+    # and chunk 2 nowhere; each is scaled, counted and clipped on its own.
+    monkeypatch.setattr(quadrature, "CHUNK", 1000)
+    grid = Grid(3000, 1)
+    table = np.concatenate([np.linspace(-0.5, 1.5, 1000), np.linspace(-1.5, 0.5, 1000),
+                            np.linspace(-1.0, 1.0, 1000)])
+    g = fn(lambda p: table[grid.cell_of(p[:, 0])])
+    scaled_sum, midpoint, clipped, values = integrators._scaled_residual_amplitude(g, 1.0, grid, True)
+    chunks = [np.clip((table[i : i + 1000] + 1.0) / 2.0, 0.0, 1.0) for i in (0, 1000, 2000)]
+    assert values.tobytes() == np.concatenate(chunks).tobytes()
+    assert clipped == np.count_nonzero(np.abs(table) > 1.0) > 0
+    assert scaled_sum == sum(float(c.sum()) for c in chunks)
+    assert midpoint == sum(float(table[i : i + 1000].sum()) for i in (0, 1000, 2000)) / 3000
+
+
 def test_quantum_bit_mode_uses_log_factor():
     f = fn(lambda p: p[:, 0] ** 2, integral=1 / 3)
     eps1 = 2**-5

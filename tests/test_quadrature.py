@@ -7,6 +7,7 @@ from qintlab import quadrature
 from qintlab.grid import Grid
 from qintlab.holder import test_suite as benchmark_suite
 from qintlab.holder import HolderFunction, make_spec, suite_member
+from qintlab.integrators import integrate_mc
 from qintlab.ledger import ResourceLedger
 from qintlab.quadrature import (
     CHUNK,
@@ -196,6 +197,50 @@ def test_walk_block_size_leaves_every_result_bit_identical(monkeypatch, params):
 
     default = results()
     for block in (CHUNK, 777):
+        monkeypatch.setattr(quadrature, "BLOCK", block)
+        assert results() == default
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_walk_hands_the_evaluator_a_block_of_coordinates(d):
+    # BLOCK counts coordinates: d = 2 keeps its 4096-point blocks.
+    assert quadrature.BLOCK // 2 == 4096
+    block = quadrature.BLOCK // d
+    sizes = []
+
+    def values(idx):
+        sizes.append(idx.size)
+        return idx.astype(float)
+
+    n = CHUNK + 5
+    walked = np.concatenate(list(quadrature.walk(values, n, d)))
+    assert walked.tobytes() == np.arange(n, dtype=float).tobytes()
+    expected = []
+    for start in range(0, n, CHUNK):
+        size = min(CHUNK, n - start)
+        expected += [block] * (size // block) + ([size % block] if size % block else [])
+    assert sizes == expected
+    assert (d == 3) == (CHUNK % block != 0)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_midpoint_and_mc_results_do_not_depend_on_the_block(monkeypatch, d):
+    # Both sums cross a chunk edge; at d = 3 the grid is read from tables.
+    f = suite_member(make_spec(d, 0, 1.0), "multiscale")
+    ell = {1: CHUNK + 4097, 3: 65}[d]
+    samples = CHUNK + 777
+
+    def results():
+        ledger = ResourceLedger()
+        sums = [
+            midpoint_rule(f, ell, ledger),
+            integrate_mc(f, samples, np.random.default_rng(4), ledger=ledger).estimate,
+            integrate_mc(f, samples, np.random.default_rng(5), variance_reduced=True).estimate,
+        ]
+        return [x.hex() for x in sums], ledger.classical_evals
+
+    default = results()
+    for block in (1 << 12, 777, 3 * CHUNK):
         monkeypatch.setattr(quadrature, "BLOCK", block)
         assert results() == default
 

@@ -154,6 +154,20 @@ def test_det_runs_its_rule_once_per_row_and_gives_each_trial_a_copy(monkeypatch)
     assert cells == [16, 64, 256, 16]
 
 
+def test_only_det_trials_are_given_no_stream(monkeypatch):
+    assert [name for name, method in METHODS.items() if not method.draws] == ["det"]
+    assert METHODS["det"].stream(3, 1, 2) is None
+    expected = ratelab.trial_rng(3, 1, 2).random(4)
+    assert METHODS["mc"].stream(3, 1, 2).random(4).tobytes() == expected.tobytes()
+
+    def refused(*args):
+        raise AssertionError("a det trial built a stream")
+
+    monkeypatch.setattr(ratelab, "trial_rng", refused)
+    report = run_convergence("det", SPEC1, [16, 64], trials=3, seed=0, fn=suite_member(SPEC1, "quadratic"))
+    assert [len(row.trials) for row in report.rows] == [3, 3]
+
+
 def test_run_convergence_seeded_trials_are_stable_across_trial_counts():
     f = suite_member(SPEC1, "quadratic")
     one = run_convergence("mc", SPEC1, [32, 64, 128, 256], trials=1, seed=9, fn=f)
