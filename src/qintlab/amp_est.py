@@ -18,10 +18,14 @@ operator M - 1 times to the prepared state and records the overlaps of the
 iterates with it; because the operator is real orthogonal, those overlaps
 fix the whole Gram matrix of the iterates and with it the law of the
 phase readout, so the t-qubit phase register is never stored and memory
-stays O(n).  The simulated law is ground truth for small registers, the
-closed form stays cheap when the simulation would not.  Either law is built
-once as an ``OutcomeLaw``, which holds its cumulative table; a run is one
-uniform and one binary search in that table.
+stays O(n).  The operator is a sign flip on the good subspace followed by
+a reflection about the prepared state, and the iterates are kept with
+that sign flip applied on every other step, so each step is two dot
+products, a scale and a subtraction, bit for bit the values of applying
+the flip itself.  The simulated law is ground truth for small registers,
+the closed form stays cheap when the simulation would not.  Either law is
+built once as an ``OutcomeLaw``, which holds its cumulative table; a run
+is one uniform and one binary search in that table.
 """
 
 from __future__ import annotations
@@ -136,22 +140,35 @@ def exact_outcome_distribution(oracle: RealOracle, M: int) -> np.ndarray:
         P(y) = M**-2 * Re FFT(s)[y],  s_0 = M*c_0,
         s_D = (M - D)*c_D + D*c_(M-D) for D >= 1.
 
-    Q is the sign flip on the good (ancilla e_0) subspace followed by the
-    reflection about psi.  Its M - 1 applications run in two preallocated
-    real vectors: memory is O(n), time O(n*M) plus one length-M FFT.
+    Q = R S, where S flips the sign of the good (ancilla e_0) amplitudes and
+    R is the reflection 2 psi psi^T - 1.  The loop keeps z = Q^j psi on even
+    j and z = S Q^j psi on odd j, with ``flipped`` = S psi.  An even step
+    reads c_j = <psi, z> and sets z = 2 <flipped, z> flipped - z; an odd one
+    reads c_j = <flipped, z> and sets z = 2 <psi, z> psi - z.  Neither
+    applies S.  The overlaps are bit for bit those of applying S at every
+    step: S only negates entries, which is exact, rounding commutes with
+    negation, and each dot product adds the same products in the same
+    order.  Only an exact zero entry may change sign, which changes no sum
+    with a nonzero term.  Two preallocated vectors hold the state: memory
+    is O(n), time O(n*M) plus one length-M FFT.
     """
     _log2_power_of_two(M)
     psi = _prepared_amplitudes(oracle)
-    sign = np.ones_like(psi)
-    sign[0::2] = -1.0
-    vec, w = psi.copy(), np.empty_like(psi)
+    flipped = psi.copy()
+    flipped[0::2] *= -1.0
+    z, scaled = psi.copy(), np.empty_like(psi)
     overlaps = np.empty(M)
-    for j in range(M):
-        overlaps[j] = psi @ vec
+    dot_psi, dot_flipped = psi.dot, flipped.dot
+    multiply, subtract = np.multiply, np.subtract
+    overlaps[0] = dot_psi(z)
+    for j in range(1, M, 2):
+        # Even step: z = Q^(j-1) psi becomes S Q^j psi.
+        subtract(multiply(2.0 * dot_flipped(z), flipped, out=scaled), z, out=z)
+        overlaps[j] = dot_flipped(z)
         if j + 1 < M:
-            np.multiply(vec, sign, out=w)
-            np.multiply(2.0 * (psi @ w), psi, out=vec)
-            np.subtract(vec, w, out=vec)
+            # Odd step: back to the plain frame, Q^(j+1) psi.
+            subtract(multiply(2.0 * dot_psi(z), psi, out=scaled), z, out=z)
+            overlaps[j + 1] = dot_psi(z)
     lag = np.arange(M)
     weights = (M - lag) * overlaps
     weights[1:] += lag[1:] * overlaps[:0:-1]
@@ -278,7 +295,8 @@ def outcome_law(oracle: RealOracle, M: int, mode: str = "auto") -> OutcomeLaw:
     if mode == "analytic":
         return amplitude_law(oracle.padded_values.sum(), oracle.n, M)
     probs = exact_outcome_distribution(oracle, M)
-    estimates = np.array([math.sin(math.pi * y / M) ** 2 for y in range(M)])
+    # ``** 2`` is pow(s, 2), which rounds some squares unlike s * s.
+    estimates = np.array([math.sin(a) ** 2 for a in (math.pi * np.arange(M) / M).tolist()])
     return OutcomeLaw(estimates, np.clip(probs, 0.0, None) / probs.sum(), M, oracle.n, "exact")
 
 

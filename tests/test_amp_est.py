@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qintlab import amp_est
 from qintlab.amp_est import (
     MeanEstimate,
     OutcomeLaw,
@@ -287,7 +288,8 @@ def test_law_estimates_and_probabilities():
 
 def _exact_law_former_loop(oracle, M):
     # The simulated law as it was computed before its two preallocated
-    # buffers: each amplification step allocated fresh arrays.
+    # buffers and its sign-alternating frame: each amplification step
+    # applied the sign flip and allocated fresh arrays.
     psi = prepared_state(oracle).amplitudes.real.copy()
 
     def apply(vec):
@@ -307,10 +309,35 @@ def _exact_law_former_loop(oracle, M):
     return np.fft.fft(weights).real / M**2
 
 
-@pytest.mark.parametrize("n, M", [(3, 4), (256, 256), (1024, 1024), (100, 64), (5, 2048)])
-def test_exact_law_matches_the_former_loop_bytewise(n, M):
-    oracle = RealOracle(np.random.default_rng(n + M).random(n))
+_FORMER_LOOP_VALUES = {
+    "random": lambda n, M: np.random.default_rng(n + M).random(n),
+    # Values of exactly 0 and 1, and the zero padding, give prepared
+    # amplitudes of exactly zero, where the two loops could differ in the
+    # sign of a zero.
+    "zeros": lambda n, M: np.zeros(n),
+    "ones": lambda n, M: np.ones(n),
+    "alternating": lambda n, M: np.arange(n) % 2.0,
+}
+
+
+@pytest.mark.parametrize(
+    "kind, n, M",
+    [("random", n, M) for n, M in [(3, 4), (256, 256), (1024, 1024), (100, 64), (5, 2048)]]
+    # M = 2 makes no odd step and M = 4 one; n = 1 and 2 are the smallest registers.
+    + [("random", n, M) for n in (1, 2) for M in (2, 4, 16)]
+    + [(kind, n, M) for kind in ("zeros", "ones", "alternating") for n in (1, 2, 3, 5, 8) for M in (2, 4, 64)],
+)
+def test_exact_law_matches_the_former_loop_bytewise(kind, n, M):
+    oracle = RealOracle(_FORMER_LOOP_VALUES[kind](n, M))
     assert exact_outcome_distribution(oracle, M).tobytes() == _exact_law_former_loop(oracle, M).tobytes()
+
+
+@pytest.mark.parametrize("M", [2**t for t in range(1, 17)])
+def test_exact_estimate_table_matches_the_former_comprehension_bytewise(M, monkeypatch):
+    # Any law will do: only the estimate table is compared.
+    monkeypatch.setattr(amp_est, "exact_outcome_distribution", lambda oracle, M: np.full(M, 1.0 / M))
+    former = np.array([math.sin(math.pi * y / M) ** 2 for y in range(M)])
+    assert outcome_law(RealOracle([0.5]), M, "exact").estimates.tobytes() == former.tobytes()
 
 
 def _choice_law(a, M):
