@@ -8,7 +8,7 @@ from .amp_est import (
     median_boost,
     phase_estimation_distribution,
 )
-from .grover import BitOracle, grover_search, success_probability_analytic
+from .grover import BitOracle, success_probability_analytic
 from .holder import (
     FoolingInstance,
     HolderClassSpec,
@@ -50,7 +50,6 @@ __all__ = [
     "export",
     "fit_rate",
     "fooling_family",
-    "grover_search",
     "integrate_coin",
     "integrate_deterministic",
     "integrate_mc",

@@ -37,7 +37,6 @@ from typing import Callable
 import numpy as np
 
 from .ledger import ResourceLedger
-from .qsim import QuantumState
 
 # Largest (padded item count) * (Grover power budget) still simulated exactly
 # when the execution mode is left on "auto"; the simulation's time grows
@@ -94,7 +93,6 @@ class RealOracle:
             raise ValueError("oracle values must lie in [0, 1]")
         self.n = int(vals.size)
         self.n_padded = _padded(self.n)
-        self.m_data = self.n_padded.bit_length() - 1
         self.padded_values = np.zeros(self.n_padded)
         np.clip(vals, 0.0, 1.0, out=self.padded_values[: self.n])
 
@@ -102,18 +100,12 @@ class RealOracle:
         return float(self.padded_values.sum() / self.n_padded)
 
 
-def prepared_state(oracle: RealOracle) -> QuantumState:
-    """Uniform superposition with values loaded onto the last qubit.
+def _prepared_amplitudes(oracle: RealOracle) -> np.ndarray:
+    """The prepared state: the uniform superposition with values loaded onto the last qubit.
 
     The ancilla is the least significant qubit, so index 2*l is b_l e_0 and
     the probability of measuring the ancilla in e_0 equals the padded mean.
     """
-    amps = _prepared_amplitudes(oracle)
-    return QuantumState(oracle.m_data + 1, amps)
-
-
-def _prepared_amplitudes(oracle: RealOracle) -> np.ndarray:
-    """The prepared state's amplitudes, all real and non-negative."""
     amps = np.empty(2 * oracle.n_padded)
     amps[0::2] = np.sqrt(oracle.padded_values / oracle.n_padded)
     amps[1::2] = np.sqrt((1.0 - oracle.padded_values) / oracle.n_padded)
@@ -249,11 +241,11 @@ class OutcomeLaw:
         cdf = p.cumsum()
         cdf /= cdf[-1]
         n_padded = _padded(self.n)
-        m_data, t, M = n_padded.bit_length() - 1, self.M.bit_length() - 1, self.M
-        # Ancilla Hadamards, preparation (Walsh-Hadamard plus one oracle gate),
-        # M - 1 amplification steps at 2*(m_data + 1) + 4 gates each, inverse
-        # Fourier transform on t qubits.
-        gates = t + (m_data + 1) + (M - 1) * (2 * m_data + 6) + t * (t + 1) // 2
+        m, t, M = n_padded.bit_length() - 1, self.M.bit_length() - 1, self.M
+        # Ancilla Hadamards, preparation (Walsh-Hadamard on m data qubits plus
+        # one oracle gate), M - 1 amplification steps at 2*(m + 1) + 4 gates
+        # each, inverse Fourier transform on t qubits.
+        gates = t + (m + 1) + (M - 1) * (2 * m + 6) + t * (t + 1) // 2
         for name, value in (("n_padded", n_padded), ("bits", t), ("gates", gates), ("cdf", cdf)):
             object.__setattr__(self, name, value)
 

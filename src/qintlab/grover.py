@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .ledger import ResourceLedger
-from .qsim import QuantumState, basis_state, measure, probability_vector, walsh_hadamard_all
+from .qsim import QuantumState, basis_state, probability_vector, walsh_hadamard_all
 
 
 class BitOracle:
@@ -87,23 +87,6 @@ def grover_state(
     for _ in range(iterations):
         state = grover_iterate(oracle, state, ledger)
     return state
-
-
-def grover_search(
-    oracle: BitOracle,
-    rng: np.random.Generator,
-    iterations: int | None = None,
-    ledger: ResourceLedger | None = None,
-) -> int:
-    """Run the search and measure.
-
-    With no marked element the output is an arbitrary index; verifying the
-    returned candidate classically is the caller's job.
-    """
-    if iterations is None:
-        iterations = default_iterations(oracle.m)
-    state = grover_state(oracle, iterations, ledger)
-    return measure(state, rng, ledger)
 
 
 def marked_probability(oracle: BitOracle, state: QuantumState) -> float:

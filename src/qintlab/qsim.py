@@ -23,21 +23,6 @@ UNITARY_TOL = 1e-10
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 
 
-def bits_of(index: int, m: int) -> tuple[int, ...]:
-    """Bit string (i_1, ..., i_m) of a basis index, most significant first."""
-    if not 0 <= index < 2**m:
-        raise ValueError(f"basis index {index} out of range for m={m}")
-    return tuple((index >> (m - j)) & 1 for j in range(1, m + 1))
-
-
-def index_of(bits) -> int:
-    """Basis index of a bit string, inverse of :func:`bits_of`."""
-    index = 0
-    for b in bits:
-        index = (index << 1) | int(b)
-    return index
-
-
 @dataclass(frozen=True)
 class QuantumState:
     """Normalised complex amplitude vector over the 2**m basis states."""
@@ -66,29 +51,20 @@ class QuantumState:
 
 @dataclass(frozen=True)
 class LocalUnitary:
-    """A unitary acting on one or two qubits, identity elsewhere.
-
-    ``targets`` are 1-based qubit indices; for a two-qubit gate the first
-    target is the more significant factor of the 4-dimensional gate space.
-    """
+    """A unitary on one qubit, identity elsewhere; ``target`` is 1-based."""
 
     matrix: np.ndarray
-    targets: tuple[int, ...]
+    target: int
 
     def __post_init__(self):
-        targets = tuple(int(t) for t in self.targets)
-        object.__setattr__(self, "targets", targets)
-        if len(targets) not in (1, 2):
-            raise ValueError("local unitaries act on one or two qubits")
-        if len(set(targets)) != len(targets):
-            raise ValueError(f"targets must be distinct, got {targets}")
-        if any(t < 1 for t in targets):
-            raise ValueError(f"qubit indices are 1-based, got {targets}")
+        target = int(self.target)
+        object.__setattr__(self, "target", target)
+        if target < 1:
+            raise ValueError(f"qubit indices are 1-based, got {target}")
         mat = np.array(self.matrix, dtype=np.complex128)
-        dim = 2 ** len(targets)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match arity {len(targets)}")
-        dev = float(np.max(np.abs(mat.conj().T @ mat - np.eye(dim))))
+        if mat.shape != (2, 2):
+            raise ValueError(f"matrix shape {mat.shape} is not a one-qubit gate's (2, 2)")
+        dev = float(np.max(np.abs(mat.conj().T @ mat - np.eye(2))))
         if dev > UNITARY_TOL:
             raise ValueError(f"matrix is not unitary (deviation {dev})")
         mat.flags.writeable = False
@@ -104,28 +80,28 @@ def basis_state(m: int, index: int) -> QuantumState:
     return QuantumState(m, amps)
 
 
-def _apply_matrix(amps: np.ndarray, m: int, matrix: np.ndarray, axes: list[int]) -> np.ndarray:
-    """``matrix`` on the given 0-based qubit axes of a flat amplitude vector."""
-    psi = np.moveaxis(amps.reshape([2] * m), axes, range(len(axes)))
+def _apply_matrix(amps: np.ndarray, m: int, matrix: np.ndarray, axis: int) -> np.ndarray:
+    """The 2x2 ``matrix`` on the 0-based qubit ``axis`` of a flat amplitude vector."""
+    psi = np.moveaxis(amps.reshape([2] * m), axis, 0)
     moved_shape = psi.shape
-    flat = matrix @ psi.reshape(2 ** len(axes), -1)
-    return np.moveaxis(flat.reshape(moved_shape), range(len(axes)), axes).reshape(-1)
+    flat = matrix @ psi.reshape(2, -1)
+    return np.moveaxis(flat.reshape(moved_shape), 0, axis).reshape(-1)
 
 
 def apply_local_unitary(
     state: QuantumState, u: LocalUnitary, ledger: ResourceLedger | None = None
 ) -> QuantumState:
-    """Apply a one- or two-qubit unitary, identity on the remaining qubits."""
-    if any(t > state.m for t in u.targets):
-        raise ValueError(f"targets {u.targets} exceed register size m={state.m}")
-    amps = _apply_matrix(state.amplitudes, state.m, u.matrix, [t - 1 for t in u.targets])
+    """Apply a one-qubit unitary, identity on the remaining qubits."""
+    if u.target > state.m:
+        raise ValueError(f"target {u.target} exceeds register size m={state.m}")
+    amps = _apply_matrix(state.amplitudes, state.m, u.matrix, u.target - 1)
     if ledger is not None:
         ledger.gates += 1
     return QuantumState(state.m, amps)
 
 
 # Validated once; every Walsh-Hadamard layer applies its matrix.
-_HADAMARD_GATE = LocalUnitary(HADAMARD, (1,))
+_HADAMARD_GATE = LocalUnitary(HADAMARD, 1)
 
 
 def walsh_hadamard_all(state: QuantumState, ledger: ResourceLedger | None = None) -> QuantumState:
@@ -137,7 +113,7 @@ def walsh_hadamard_all(state: QuantumState, ledger: ResourceLedger | None = None
     """
     amps = state.amplitudes
     for axis in range(state.m):
-        amps = _apply_matrix(amps, state.m, _HADAMARD_GATE.matrix, [axis])
+        amps = _apply_matrix(amps, state.m, _HADAMARD_GATE.matrix, axis)
     if ledger is not None:
         ledger.gates += state.m
     return QuantumState(state.m, amps)
@@ -148,25 +124,17 @@ def probability_vector(state: QuantumState) -> np.ndarray:
     return np.abs(state.amplitudes) ** 2
 
 
-def measure(
-    state: QuantumState, rng: np.random.Generator, ledger: ResourceLedger | None = None
-) -> int:
-    """Sample a basis index from the measurement distribution.
-
-    One shot of ``measure_shots``: the same generator state reproduces the
-    same outcome, and reading out the m-qubit register is charged as m
-    random bits.
-    """
-    return int(measure_shots(state, 1, rng, ledger)[0])
-
-
 def measure_shots(
     state: QuantumState,
     shots: int,
     rng: np.random.Generator,
     ledger: ResourceLedger | None = None,
 ) -> np.ndarray:
-    """Repeated measurement of independent copies of the same state."""
+    """Measure ``shots`` independent copies of the state, one basis index each.
+
+    The same generator state reproduces the same outcomes; each readout of
+    the m-qubit register is charged as m random bits.
+    """
     probs = probability_vector(state)
     outcomes = rng.choice(state.dim, size=shots, p=probs / probs.sum())
     if ledger is not None:

@@ -19,7 +19,6 @@ from qintlab.amp_est import (
     median_boost,
     outcome_law,
     phase_estimation_distribution,
-    prepared_state,
     smallest_power_for_error,
 )
 from qintlab.ledger import ResourceLedger
@@ -49,7 +48,9 @@ def test_oracle_padding():
 def test_prepared_state_loads_the_mean():
     rng = np.random.default_rng(0)
     oracle = RealOracle(rng.random(1000))
-    probs = np.abs(prepared_state(oracle).amplitudes) ** 2
+    amps = amp_est._prepared_amplitudes(oracle)
+    assert abs(np.linalg.norm(amps) - 1.0) <= 1e-12
+    probs = amps**2
     assert abs(probs[0::2].sum() - oracle.padded_mean()) <= 1e-12
 
 
@@ -290,7 +291,7 @@ def _exact_law_former_loop(oracle, M):
     # The simulated law as it was computed before its two preallocated
     # buffers and its sign-alternating frame: each amplification step
     # applied the sign flip and allocated fresh arrays.
-    psi = prepared_state(oracle).amplitudes.real.copy()
+    psi = amp_est._prepared_amplitudes(oracle)
 
     def apply(vec):
         w = vec.copy()

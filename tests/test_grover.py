@@ -8,14 +8,13 @@ import pytest
 from qintlab.grover import (
     BitOracle,
     default_iterations,
-    grover_search,
     grover_state,
     marked_probability,
     sign_oracle,
     success_probability_analytic,
 )
 from qintlab.ledger import ResourceLedger
-from qintlab.qsim import basis_state, probability_vector, walsh_hadamard_all
+from qintlab.qsim import basis_state, measure_shots, probability_vector, walsh_hadamard_all
 
 
 def test_sign_oracle_flips_marked_amplitudes():
@@ -44,8 +43,7 @@ def test_single_marked_two_qubits_is_exact():
     oracle = BitOracle(2, [2])
     state = grover_state(oracle, 1)
     assert abs(marked_probability(oracle, state) - 1.0) <= 1e-12
-    for seed in range(20):
-        assert grover_search(oracle, np.random.default_rng(seed), iterations=1) == 2
+    assert (measure_shots(state, 20, np.random.default_rng(0)) == 2).all()
 
 
 def test_zero_iterations_leave_uniform_state():
@@ -58,7 +56,7 @@ def test_query_and_gate_accounting():
     m, k = 4, 3
     oracle = BitOracle(m, [7])
     ledger = ResourceLedger()
-    grover_search(oracle, np.random.default_rng(0), iterations=k, ledger=ledger)
+    measure_shots(grover_state(oracle, k, ledger), 1, np.random.default_rng(0), ledger)
     assert ledger.quantum_queries == k
     # initial Walsh-Hadamard plus (2m + 2) per iteration
     assert ledger.gates == m + k * (2 * m + 2)
@@ -110,6 +108,8 @@ def test_default_iterations():
 
 
 def test_unmarked_instance_returns_some_index():
+    # With nothing marked the iterate fixes the uniform state, so any index may come out.
     oracle = BitOracle(3, [])
-    outcome = grover_search(oracle, np.random.default_rng(5))
-    assert 0 <= outcome < 8
+    state = grover_state(oracle, default_iterations(3))
+    assert np.allclose(probability_vector(state), np.full(8, 1 / 8), atol=1e-12)
+    assert 0 <= measure_shots(state, 1, np.random.default_rng(5))[0] < 8
