@@ -141,7 +141,7 @@ class Method:
     method's trial-invariant plan once, and return the per-trial sampler
     ``rng -> IntegrationResult``.  The two maps differ on purpose.  Every
     size bound is checked in ``integrators``, which raises OverflowError
-    naming the count.  ``cost`` reads the ledger category the rate is
+    naming the count.  ``cost`` reads the ledger categories the rate is
     fitted on.  Samplers look the ``integrate_*`` functions up in this
     module at call time, once per trial, so rebinding them here reaches
     every trial; det, which draws nothing, calls ``integrate_deterministic``
@@ -188,7 +188,7 @@ METHODS = {
     "quantum": Method(
         _quantum_by_budget,
         _quantum,
-        lambda led: led.quantum_queries,
+        lambda led: led.classical_evals + led.quantum_queries,
     ),
 }
 

@@ -121,7 +121,11 @@ def c05_fits(seed):
 
 
 def test_c05_quantum_query_exponent():
-    """Error-vs-query slope -(1+gamma) = -2 for (1,0,1) on two functions."""
+    """Error-vs-cost slope -(1+gamma) = -2 for (1,0,1) on two functions.
+
+    The cost is every read of f: the oracle queries plus the projection's
+    classical evaluations, as ``METHODS["quantum"].cost`` counts them.
+    """
     fits = list(c05_fits(seed=11))
     details = [f"{name}: slope {slope:.3f}, CI [{ci[0]:.3f}, {ci[1]:.3f}]" for name, slope, ci, _ in fits]
     ok = not any(failed for *_, failed in fits)

@@ -1,5 +1,6 @@
 """Command-line interface behaviour and exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -95,10 +96,18 @@ def test_out_of_range_inputs_exit_two(capsys, command, message):
     assert captured.out == ""
 
 
-def test_rates_with_only_zero_budget_rows_exits_two_without_lapack_noise(capfd):
+def test_rates_with_only_zero_budget_rows_exits_two_without_lapack_noise(capfd, monkeypatch):
     # The degree-1 interpolant reproduces the product member at d = 1, so
-    # every row takes the degenerate path and spends no queries.
+    # every row takes the degenerate path and spends no queries.  Its rows
+    # are charged the projection's evaluations, so they are fitted.
     command = "rates --method quantum --d 1 --k 1 --fn product --budgets 2^5..2^8 --trials 3 --seed 4"
+    assert main(command.split()) == 0
+    captured = capfd.readouterr()
+    assert "DLASCL" not in captured.out + captured.err
+    # A cost that reads zero on those rows, as the query count alone did,
+    # leaves only zero-budget rows.
+    query_only = dataclasses.replace(ratelab.METHODS["quantum"], cost=lambda led: led.quantum_queries)
+    monkeypatch.setitem(ratelab.METHODS, "quantum", query_only)
     with pytest.warns(UserWarning, match="zero measured budget") as caught:
         assert main(command.split()) == 2
     assert [str(w.message).split()[2] for w in caught] == ["32", "64", "128", "256"]
@@ -116,11 +125,12 @@ def test_each_warning_is_one_stderr_line():
     proc = subprocess.run([sys.executable, "-m", "qintlab.cli", *command.split()],
                           env=env, capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout) == (2, "")
+    # Each row's budget is its projection's evaluations; the interpolant is exact, so every error is zero.
     assert proc.stderr == "".join(
-        f"warning: budget row {budget} has zero measured budget; excluded from fit\n" for budget in (16, 32, 64, 128)
+        f"warning: budget row {budget} has zero median error; excluded from fit\n" for budget in (5, 10, 20, 40)
     ) + "error: fewer than 2 nonzero rows left to fit\n"
     former = warnings.formatwarning
-    with pytest.warns(UserWarning, match="zero measured budget"):
+    with pytest.warns(UserWarning, match="zero median error"):
         assert main(command.split()) == 2
     assert warnings.formatwarning is former
 

@@ -205,7 +205,7 @@ def test_method_table_fits_each_method_on_its_cost():
         "mc": lambda t: t.classical_evals,
         "mcvr": lambda t: t.classical_evals,
         "coin": lambda t: t.classical_evals + t.random_bits,
-        "quantum": lambda t: t.quantum_queries,
+        "quantum": lambda t: t.classical_evals + t.quantum_queries,
     }
     assert list(METHODS) == list(cost)
     f = suite_member(SPEC1, "quadratic")
@@ -231,8 +231,11 @@ def test_quantum_budget_axis_is_query_count():
     f = suite_member(SPEC1, "quadratic")
     report = run_convergence("quantum", SPEC1, [32, 64, 128, 256], trials=2, seed=1, fn=f)
     for row in report.rows:
-        assert row.budget == row.requested
-        assert row.trials[0].quantum_queries == row.requested
+        # The requested budget is the query count M; the row is fitted on
+        # every read of f, the projection's evaluations included.
+        trial = row.trials[0]
+        assert trial.quantum_queries == row.requested
+        assert row.budget == trial.classical_evals + trial.quantum_queries > row.requested
 
 
 def test_quantum_budget_map_asks_for_the_single_run_error_bound():
