@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import warnings
 
 import numpy as np
 
@@ -152,7 +151,10 @@ def cmd_integrate(args) -> int:
             f"--eps1 {args.eps1} is too small: the sizes it asks for do not fit ({exc})"
         ) from exc
     text = ratelab.json_text(rows) if args.format == "json" else ratelab.csv_text(tuple(rows[0]), rows)
-    ratelab.write_text(text, args.out)
+    if args.out:
+        ratelab.write_text(text, args.out)
+    else:
+        sys.stdout.write(text)
     return 0
 
 
@@ -192,7 +194,11 @@ def cmd_rates(args) -> int:
     report = ratelab.run_convergence(
         args.method, spec, budgets, args.trials, args.seed, fn, mode=args.mode
     )
-    slope, ci = ratelab.fit_rate(report)
+    try:
+        slope, ci = ratelab.fit_rate(report)
+    finally:
+        for message in report.excluded:
+            print(f"warning: {message}", file=sys.stderr)
     if args.out:
         ratelab.export(report, args.format, args.out)
         print(f"report written to {args.out}")
@@ -265,14 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _one_line_warning(message, category, filename, lineno, line=None) -> str:
-    return f"warning: {message}\n"
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # Only the format changes: callers' filters and recorders still apply.
-    former, warnings.formatwarning = warnings.formatwarning, _one_line_warning
     try:
         return args.func(args)
     except (ratelab.ConfigurationError, ValueError, KeyError) as exc:
@@ -282,8 +282,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        warnings.formatwarning = former
 
 
 if __name__ == "__main__":

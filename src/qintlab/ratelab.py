@@ -16,8 +16,6 @@ import csv
 import json
 import math
 import statistics
-import sys
-import warnings
 import weakref
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -79,6 +77,7 @@ class ConvergenceReport:
     fitted_slope: float | None = None
     slope_ci: tuple[float, float] | None = None
     metadata: dict = field(default_factory=dict)
+    excluded: list[str] = field(default_factory=list)
 
     @property
     def gamma(self) -> float:
@@ -258,22 +257,22 @@ def fit_rate(report: ConvergenceReport) -> tuple[float, tuple[float, float]]:
 
     Rows whose measured budget is zero (degenerate paths that spend
     nothing) or whose median error is exactly zero (exact-integration fast
-    paths) are excluded with a warning.  The CI is a percentile bootstrap over
-    trials, seeded from the report seed so refits are bit-identical.  All
-    resamples are drawn at once and their slopes come from one batched
-    least-squares solve, which can round differently from one solve per
-    resample: CI endpoints may differ in the last bit from reports fitted
-    before the batching (``rates --method det --d 2 --budgets 4^4..4^10
-    --seed 3`` moves from ...123 to ...122), never the point slope.
+    paths) are excluded and listed in ``report.excluded``.  The CI is a
+    percentile bootstrap over trials, seeded from the report seed so refits
+    are bit-identical.  All resamples are drawn at once and their slopes come
+    from one batched least-squares solve, which can round differently from
+    one solve per resample: CI endpoints may differ in the last bit from
+    reports fitted before the batching (``rates --method det --d 2 --budgets
+    4^4..4^10 --seed 3`` moves from ...123 to ...122), never the point slope.
     """
     if len(report.rows) < 4:
         raise ConfigurationError(f"need at least 4 budget rows, got {len(report.rows)}")
-    kept = []
+    report.excluded, kept = [], []
     for row in report.rows:
         if row.budget == 0:
-            warnings.warn(f"budget row {row.requested} has zero measured budget; excluded from fit")
+            report.excluded.append(f"budget row {row.requested} has zero measured budget; excluded from fit")
         elif float(np.median(row.errors())) == 0.0:
-            warnings.warn(f"budget row {row.budget} has zero median error; excluded from fit")
+            report.excluded.append(f"budget row {row.budget} has zero median error; excluded from fit")
         else:
             kept.append(row)
     if len(kept) < 2:
@@ -326,11 +325,8 @@ def _naming_the_report(path: str):
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 
 
-def write_text(text: str, path: str | None) -> None:
-    """Write ``text`` to ``path``, or to stdout when there is no path."""
-    if not path:
-        sys.stdout.write(text)
-        return
+def write_text(text: str, path: str) -> None:
+    """Write ``text`` to ``path``, naming the path if that fails."""
     with _naming_the_report(path), open(path, "w", newline="") as out:
         out.write(text)
 

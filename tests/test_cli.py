@@ -2,9 +2,6 @@
 
 import dataclasses
 import json
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -108,31 +105,35 @@ def test_rates_with_only_zero_budget_rows_exits_two_without_lapack_noise(capfd, 
     # leaves only zero-budget rows.
     query_only = dataclasses.replace(ratelab.METHODS["quantum"], cost=lambda led: led.quantum_queries)
     monkeypatch.setitem(ratelab.METHODS, "quantum", query_only)
-    with pytest.warns(UserWarning, match="zero measured budget") as caught:
-        assert main(command.split()) == 2
-    assert [str(w.message).split()[2] for w in caught] == ["32", "64", "128", "256"]
+    assert main(command.split()) == 2
     captured = capfd.readouterr()
+    warned = [line.split()[3] for line in captured.err.splitlines() if "zero measured budget" in line]
+    assert warned == ["32", "64", "128", "256"]
     assert "fewer than 2 nonzero rows left to fit" in captured.err
     assert "DLASCL" not in captured.out + captured.err
     assert "SVD" not in captured.err
 
 
-def test_each_warning_is_one_stderr_line():
-    # Its own process: under pytest every warning is recorded, never shown.
-    command = "rates --method quantum --d 1 --budgets 16,32,64,128 --trials 1 --fn const-half"
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run([sys.executable, "-m", "qintlab.cli", *command.split()],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    # Each row's budget is its projection's evaluations; the interpolant is exact, so every error is zero.
-    assert proc.stderr == "".join(
-        f"warning: budget row {budget} has zero median error; excluded from fit\n" for budget in (5, 10, 20, 40)
-    ) + "error: fewer than 2 nonzero rows left to fit\n"
-    former = warnings.formatwarning
-    with pytest.warns(UserWarning, match="zero median error"):
-        assert main(command.split()) == 2
-    assert warnings.formatwarning is former
+CONST_HALF = "rates --method quantum --d 1 --budgets 16,32,64,128 --trials 1 --fn const-half"
+# Each row's budget is its projection's evaluations; the interpolant is exact, so every error is zero.
+CONST_HALF_STDERR = "".join(
+    f"warning: budget row {budget} has zero median error; excluded from fit\n" for budget in (5, 10, 20, 40)
+) + "error: fewer than 2 nonzero rows left to fit\n"
+
+
+def test_each_warning_is_one_stderr_line(capsys):
+    # A second call in the same process prints the same lines.
+    for _ in range(2):
+        assert main(CONST_HALF.split()) == 2
+        assert capsys.readouterr() == ("", CONST_HALF_STDERR)
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_rates_prints_the_same_lines_under_any_warnings_filter(capsys, action):
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        assert main(CONST_HALF.split()) == 2
+    assert capsys.readouterr() == ("", CONST_HALF_STDERR)
 
 
 def test_grover_sizes_the_run_before_building_the_oracle(monkeypatch, capsys):

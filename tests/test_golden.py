@@ -25,7 +25,6 @@ import platform
 import shlex
 import sys
 import tempfile
-import warnings
 
 import numpy as np
 import pytest
@@ -84,20 +83,12 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _show(message, category, filename, lineno, file=None, line=None) -> None:
-    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
-
-
 def run_command(command: str, workdir: str) -> dict:
     """Run one table command through ``cli.main``; its exit code and output digests."""
     out = os.path.join(workdir, "report")
     argv = [arg.replace("{out}", out) for arg in shlex.split(command)]
     stdout, stderr = io.StringIO(), io.StringIO()
-    # Warnings print to stderr as they would from the console script, not
-    # as errors, and not into a test runner's record.
-    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        warnings.simplefilter("default")
-        warnings.showwarning = _show
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main(argv)
     report = b""
     if os.path.exists(out):
@@ -129,13 +120,15 @@ def test_table_lists_every_command():
 def test_command_output_matches_its_golden_digests(command, tmp_path):
     table = _load()
     pinned = {entry["command"]: entry for entry in table["commands"]}[command]
-    got = run_command(command, str(tmp_path))
-    moved = [key for key in ("code", "stdout", "stderr", "out") if got[key] != pinned[key]]
-    assert not moved, (
-        f"{', '.join(moved)} of `qintlab {command}` moved from the table generated with "
-        f"Python {table['python']}, numpy {table['numpy']} (running Python {_versions()['python']}, "
-        f"numpy {_versions()['numpy']})"
-    )
+    # The second run shows that no command's bytes depend on an earlier call in the process.
+    for run in ("first", "second"):
+        got = run_command(command, str(tmp_path))
+        moved = [key for key in ("code", "stdout", "stderr", "out") if got[key] != pinned[key]]
+        assert not moved, (
+            f"{', '.join(moved)} of the {run} in-process run of `qintlab {command}` moved from the table "
+            f"generated with Python {table['python']}, numpy {table['numpy']} (running Python "
+            f"{_versions()['python']}, numpy {_versions()['numpy']})"
+        )
 
 
 def _update() -> None:

@@ -61,17 +61,17 @@ def test_fit_with_multiplicative_noise():
 
 def test_fit_excludes_zero_median_rows():
     report = synthetic_report([2, 4, 8, 16, 32], lambda b: 0.0 if b == 8 else b**-1.0)
-    with pytest.warns(UserWarning, match="zero median"):
-        slope, _ = fit_rate(report)
+    slope, _ = fit_rate(report)
     assert slope == pytest.approx(-1.0, abs=1e-9)
+    assert report.excluded == ["budget row 8 has zero median error; excluded from fit"]
 
 
 def test_fit_excludes_zero_budget_rows_naming_the_requested_budget():
     report = synthetic_report([2, 4, 8, 16, 32], lambda b: b**-1.0)
     report.rows[0] = BudgetRow(2, 0, report.rows[0].trials)
-    with pytest.warns(UserWarning, match="budget row 2 has zero measured budget"):
-        slope, _ = fit_rate(report)
+    slope, _ = fit_rate(report)
     assert slope == pytest.approx(-1.0, abs=1e-9)
+    assert report.excluded == ["budget row 2 has zero measured budget; excluded from fit"]
 
 
 def _bootstrap_slopes_one_fit_per_resample(report, resamples):
