@@ -54,6 +54,9 @@ _MIN_N_OVER = 4
 # module is the only reader.  At a few million points a second on one core,
 # this many take about a minute.
 MAX_STREAM = 1 << 28
+# Evaluation roundoff: a quantity at or below it (relative to the values
+# involved) is no signal.
+NOISE_FLOOR = 64.0 * np.finfo(float).eps
 
 
 def check_count(count: float, what: str) -> int:
@@ -360,7 +363,7 @@ def plan_quantum(f: HolderFunction, eps1: float, mode: str = "query") -> Plan:
     half_bound = probe_sup(g, proj.ell * (f.spec.k + 1))
     # Residuals at the evaluation noise floor (constants, reproduced
     # polynomials) short-circuit: the projection integral is already exact.
-    noise_floor = 64.0 * np.finfo(float).eps * max(1.0, abs(proj.exact_integral))
+    noise_floor = NOISE_FLOOR * max(1.0, abs(proj.exact_integral))
     if half_bound <= noise_floor:
         params.update({"M": 0, "B": 0.0, "degenerate": True})
         return Plan(key, params, charges, proj.exact_integral)

@@ -25,6 +25,7 @@ import numpy as np
 from .amp_est import error_bound
 from .holder import HolderClassSpec, HolderFunction
 from .integrators import (
+    NOISE_FLOOR,
     IntegrationResult,
     eps_count,
     integrate_coin,
@@ -256,10 +257,10 @@ def fit_rate(report: ConvergenceReport) -> tuple[float, tuple[float, float]]:
     """Least-squares slope of log median error vs log budget, with 95% CI.
 
     Rows whose measured budget is zero (degenerate paths that spend
-    nothing) or whose median error is exactly zero (exact-integration fast
-    paths) are excluded and listed in ``report.excluded``.  The CI is a
-    percentile bootstrap over trials, seeded from the report seed so refits
-    are bit-identical.  All resamples are drawn at once and their slopes come
+    nothing) or whose median error is zero or roundoff, at most
+    ``NOISE_FLOOR`` (exact-integration fast paths), are excluded and listed
+    in ``report.excluded``.  The CI is a percentile bootstrap over trials,
+    seeded from the report seed so refits are bit-identical.  All resamples are drawn at once and their slopes come
     from one batched least-squares solve, which can round differently from
     one solve per resample: CI endpoints may differ in the last bit from
     reports fitted before the batching (``rates --method det --d 2 --budgets
@@ -269,10 +270,15 @@ def fit_rate(report: ConvergenceReport) -> tuple[float, tuple[float, float]]:
         raise ConfigurationError(f"need at least 4 budget rows, got {len(report.rows)}")
     report.excluded, kept = [], []
     for row in report.rows:
+        median = float(np.median(row.errors()))
         if row.budget == 0:
             report.excluded.append(f"budget row {row.requested} has zero measured budget; excluded from fit")
-        elif float(np.median(row.errors())) == 0.0:
+        elif median == 0.0:
             report.excluded.append(f"budget row {row.budget} has zero median error; excluded from fit")
+        elif median <= NOISE_FLOOR:
+            report.excluded.append(
+                f"budget row {row.budget} has median error {median:.3g}, at roundoff; excluded from fit"
+            )
         else:
             kept.append(row)
     if len(kept) < 2:

@@ -96,10 +96,12 @@ def test_out_of_range_inputs_exit_two(capsys, command, message):
 def test_rates_with_only_zero_budget_rows_exits_two_without_lapack_noise(capfd, monkeypatch):
     # The degree-1 interpolant reproduces the product member at d = 1, so
     # every row takes the degenerate path and spends no queries.  Its rows
-    # are charged the projection's evaluations, so they are fitted.
+    # are charged the projection's evaluations, but every error is roundoff
+    # (5.55e-17), so no row is fitted and the run exits 2, not with slope 0.
     command = "rates --method quantum --d 1 --k 1 --fn product --budgets 2^5..2^8 --trials 3 --seed 4"
-    assert main(command.split()) == 0
+    assert main(command.split()) == 2
     captured = capfd.readouterr()
+    assert captured.err.count("has median error 5.55e-17, at roundoff; excluded from fit\n") == 4
     assert "DLASCL" not in captured.out + captured.err
     # A cost that reads zero on those rows, as the query count alone did,
     # leaves only zero-budget rows.

@@ -66,6 +66,15 @@ def test_fit_excludes_zero_median_rows():
     assert report.excluded == ["budget row 8 has zero median error; excluded from fit"]
 
 
+def test_fit_excludes_roundoff_median_rows_naming_the_median():
+    floor = integrators.NOISE_FLOOR
+    report = synthetic_report([2, 4, 8, 16, 32], lambda b: {4: floor, 8: 2.0 * floor}.get(b, b**-1.0))
+    slope, _ = fit_rate(report)
+    assert report.excluded == [f"budget row 4 has median error {floor:.3g}, at roundoff; excluded from fit"]
+    # The row just above the floor is fitted, and pulls the slope off -1.
+    assert slope != pytest.approx(-1.0, abs=1e-3)
+
+
 def test_fit_excludes_zero_budget_rows_naming_the_requested_budget():
     report = synthetic_report([2, 4, 8, 16, 32], lambda b: b**-1.0)
     report.rows[0] = BudgetRow(2, 0, report.rows[0].trials)
