@@ -15,6 +15,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import statistics
 import weakref
 from collections.abc import Callable
@@ -340,11 +341,17 @@ def write_text(text: str, path: str) -> None:
 def check_writable(path: str | None) -> None:
     """Raise ``write_text``'s error now if ``path`` cannot be opened for writing.
 
-    Opened for appending: an existing file keeps its contents, a missing one is created empty.
+    An existing file is opened for appending and keeps its contents; a
+    missing one is created and removed again, so a refused run leaves none.
     """
     if path:
-        with _naming_the_report(path), open(path, "a"):
-            pass
+        with _naming_the_report(path):
+            try:
+                open(path, "x").close()
+            except FileExistsError:
+                open(path, "a").close()
+            else:
+                os.remove(path)
 
 
 def export(report: ConvergenceReport, fmt: str, path: str) -> None:

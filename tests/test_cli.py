@@ -363,6 +363,13 @@ def test_unwritable_out_fails_before_any_work(monkeypatch, capsys, argv, work):
     assert "cannot write report to /nonexistent/dir/x.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [CONST_HALF, "integrate --method coin --d 1 --eps1 1e-5"])
+def test_a_refused_run_leaves_no_report(tmp_path, capsys, argv):
+    path = tmp_path / "new.csv"
+    assert main([*argv.split(), "--out", str(path)]) == 2
+    assert not path.exists()
+
+
 def test_rates_out_check_leaves_an_existing_report_alone_when_the_run_fails(tmp_path):
     path = tmp_path / "r.csv"
     path.write_text("old\n")
