@@ -257,15 +257,16 @@ def run_convergence(
 def fit_rate(report: ConvergenceReport) -> tuple[float, tuple[float, float]]:
     """Least-squares slope of log median error vs log budget, with 95% CI.
 
-    Rows whose measured budget is zero (degenerate paths that spend
-    nothing) or whose median error is zero or roundoff, at most
-    ``NOISE_FLOOR`` (exact-integration fast paths), are excluded and listed
-    in ``report.excluded``.  The CI is a percentile bootstrap over trials,
-    seeded from the report seed so refits are bit-identical.  All resamples are drawn at once and their slopes come
-    from one batched least-squares solve, which can round differently from
-    one solve per resample: CI endpoints may differ in the last bit from
-    reports fitted before the batching (``rates --method det --d 2 --budgets
-    4^4..4^10 --seed 3`` moves from ...123 to ...122), never the point slope.
+    Rows whose measured budget is zero (degenerate paths that spend nothing)
+    or whose median error is zero or roundoff, at most ``NOISE_FLOOR``
+    (exact-integration fast paths), are excluded and listed in
+    ``report.excluded``.  The CI is a percentile bootstrap over trials, seeded
+    from the report seed so refits are bit-identical.  All resamples are drawn
+    at once and their slopes come from one batched least-squares solve, which
+    can round differently from one solve per resample: CI endpoints may differ
+    in the last bit from reports fitted before the batching (``rates --method
+    det --d 2 --budgets 4^4..4^10 --seed 3`` moves from ...123 to ...122),
+    never the point slope.
     """
     if len(report.rows) < 4:
         raise ConfigurationError(f"need at least 4 budget rows, got {len(report.rows)}")
