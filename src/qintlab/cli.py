@@ -122,7 +122,7 @@ def cmd_fool(args) -> int:
         signs = np.array([(-1.0) ** i for i in range(n_bumps)])
     else:
         signs = rng.choice([-1.0, 1.0], size=n_bumps)
-    instance = holder.fooling_family(spec, n_bumps, signs, c_geom=args.c_geom)
+    instance = holder.fooling_family(spec, n_bumps, signs)
     report = holder.verify_membership(instance.as_function())
     print(f"class (d={spec.d}, k={spec.k}, alpha={spec.alpha}), gamma={spec.gamma}")
     print(f"bumps={instance.n_bumps} edge={1 / instance.cells_per_axis} "
@@ -234,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--n", type=int, required=True, help="bump count, a perfect d-th power")
     p.add_argument("--signs", choices=["all-plus", "alternating", "random"], default="all-plus")
-    p.add_argument("--c-geom", type=float, default=1.0, dest="c_geom")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_fool)
 

@@ -496,18 +496,13 @@ def _build_instance(
     )
 
 
-def fooling_family(
-    spec: HolderClassSpec, n_bumps: int, signs, c_geom: float = 1.0
-) -> FoolingInstance:
+def fooling_family(spec: HolderClassSpec, n_bumps: int, signs) -> FoolingInstance:
     """n_bumps disjoint bumps of edge n**(-1/d) with weights in [-1, 1].
 
     Heights scale as the (k + alpha)-th power of the cell edge, so the
     single-bump integral is proportional to n**-(1 + gamma) and the weighted
     sum stays inside the class for any sign vector bounded by one.
-    ``c_geom`` scales the heights and must be positive and finite.
     """
-    if not 0.0 < c_geom < math.inf:
-        raise ValueError(f"c_geom must be positive and finite, got {c_geom}")
     ell = _cells_per_axis(spec.d, n_bumps)
     lambdas = np.asarray(signs, dtype=float)
     if lambdas.shape != (n_bumps,):
@@ -516,9 +511,9 @@ def fooling_family(
         raise ValueError("signs must lie in [-1, 1]")
     h = 1.0 / ell
     if spec.k == 0:
-        height = c_geom * (h / 2.0) ** spec.alpha * spec.d ** (spec.alpha / 2.0 - 1.0)
+        height = (h / 2.0) ** spec.alpha * spec.d ** (spec.alpha / 2.0 - 1.0)
     else:
-        height = c_geom * h ** (spec.k + spec.alpha) * _poly_height_factor(spec)
+        height = h ** (spec.k + spec.alpha) * _poly_height_factor(spec)
     return _build_instance(spec, ell, lambdas, height)
 
 

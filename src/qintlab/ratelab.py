@@ -276,15 +276,18 @@ def fit_rate(report: ConvergenceReport) -> tuple[float, tuple[float, float]]:
         if row.budget == 0:
             report.excluded.append(f"budget row {row.requested} has zero measured budget; excluded from fit")
         elif median == 0.0:
-            report.excluded.append(f"budget row {row.budget} has zero median error; excluded from fit")
+            report.excluded.append(
+                f"budget row {row.requested} (measured {row.budget}) has zero median error; excluded from fit"
+            )
         elif median <= NOISE_FLOOR:
             report.excluded.append(
-                f"budget row {row.budget} has median error {median:.3g}, at roundoff; excluded from fit"
+                f"budget row {row.requested} (measured {row.budget}) has median error {median:.3g}, "
+                "at roundoff; excluded from fit"
             )
         else:
             kept.append(row)
     if len(kept) < 2:
-        raise ConfigurationError("fewer than 2 nonzero rows left to fit")
+        raise ConfigurationError("fewer than 2 rows left to fit")
     logb = np.log([row.budget for row in kept])
     errs = np.stack([row.errors() for row in kept])
     slope = float(np.polyfit(logb, np.log(np.median(errs, axis=1)), 1)[0])

@@ -64,6 +64,9 @@ COMMANDS = [
     "mean --n 64 --eps 0.05 --trials 200 --seed 1",
     "mean --n 1000 --dist alternating --eps 0.01 --trials 500 --seed 3 --mode analytic",
     "mean --n 16 --dist const --eps 0.1 --mode exact --trials 50 --seed 2",
+    # 20000 draws from one outcome law, and the simulated law at M = 1024 (n_padded * M = 2^20).
+    "mean --n 1000 --eps 0.001 --trials 20000 --seed 3 --mode analytic",
+    "mean --n 1000 --eps 0.005 --mode exact --trials 2000 --seed 3",
     "grover --m 4 --marked 7 --shots 2000 --seed 1",
     "grover --m 3 --marked 2 --k 1 --shots 100 --seed 2",
     "fool --d 2 --n 16 --signs alternating --seed 1",
@@ -75,6 +78,7 @@ COMMANDS = [
     "integrate --method det --d 2 --alpha 0.3 --eps1 0.015625",
     "integrate --method quantum --d 1 --eps1 0.45 --alpha 0.002",
     "mean --n 10000000000000 --eps 0.1",
+    "mean --n 1048576 --eps 1e-4 --mode exact",
     "grover --m 30 --marked 0",
 ]
 

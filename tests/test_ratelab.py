@@ -61,16 +61,20 @@ def test_fit_with_multiplicative_noise():
 
 def test_fit_excludes_zero_median_rows():
     report = synthetic_report([2, 4, 8, 16, 32], lambda b: 0.0 if b == 8 else b**-1.0)
+    report.rows[2] = BudgetRow(8, 9, report.rows[2].trials)
     slope, _ = fit_rate(report)
     assert slope == pytest.approx(-1.0, abs=1e-9)
-    assert report.excluded == ["budget row 8 has zero median error; excluded from fit"]
+    assert report.excluded == ["budget row 8 (measured 9) has zero median error; excluded from fit"]
 
 
 def test_fit_excludes_roundoff_median_rows_naming_the_median():
     floor = integrators.NOISE_FLOOR
     report = synthetic_report([2, 4, 8, 16, 32], lambda b: {4: floor, 8: 2.0 * floor}.get(b, b**-1.0))
+    report.rows[1] = BudgetRow(4, 5, report.rows[1].trials)
     slope, _ = fit_rate(report)
-    assert report.excluded == [f"budget row 4 has median error {floor:.3g}, at roundoff; excluded from fit"]
+    assert report.excluded == [
+        f"budget row 4 (measured 5) has median error {floor:.3g}, at roundoff; excluded from fit"
+    ]
     # The row just above the floor is fitted, and pulls the slope off -1.
     assert slope != pytest.approx(-1.0, abs=1e-3)
 
