@@ -66,6 +66,5 @@ def test_bench_patches_existing_names_and_restores_them():
 
 
 def test_no_qintlab_module_keeps_a_binding_the_bench_replaced():
-    # The package root included: every loaded qintlab module calls the wrappers.
     stale = _bench_bindings()["stale"]
     assert not stale, f"unwrapped while the bench is open: {', '.join(stale)}"
