@@ -25,10 +25,15 @@ def _digits(rem: np.ndarray, base: int, d: int) -> list[np.ndarray]:
     """The d base-``base`` digits of C-order flat indices, axis 0 first.
 
     Below base**d, what is left after the other axes is axis 0's digit.
+    Each digit is the remainder as ``rem - quotient * base``: numpy divides
+    by a scalar far faster with ``//`` than with ``np.divmod``.
     """
     digits = [rem] * d
     for axis in range(d - 1, 0, -1):
-        rem, digits[axis] = np.divmod(rem, base)
+        quotient = rem // base
+        digit = quotient * base
+        np.subtract(rem, digit, out=digit)
+        digits[axis], rem = digit, quotient
     digits[0] = rem
     return digits
 

@@ -62,6 +62,20 @@ def make_spec(d: int, k: int, alpha: float) -> HolderClassSpec:
     return HolderClassSpec(d=int(d), k=int(k), alpha=float(alpha))
 
 
+def _axis_mean(columns: list[np.ndarray]) -> np.ndarray:
+    """The d columns summed in axis order onto zeros, then divided by d; inputs are kept.
+
+    Zeros plus the first column is that column plus 0.0, and dividing by one
+    changes nothing, so neither is done as such.
+    """
+    acc = columns[0] + 0.0
+    for column in columns[1:]:
+        acc += column
+    if len(columns) > 1:
+        acc /= len(columns)
+    return acc
+
+
 class HolderFunction:
     """An evaluable function on [0, 1]^d tagged with its class.
 
@@ -70,26 +84,30 @@ class HolderFunction:
     raw evaluator stays available for harness instrumentation that must not
     touch the cost accounting.
 
-    ``tabulate``, if given, reads the function from per-axis tables on a
-    ``Grid``: ``tabulate(grid)`` builds the tables once and returns
-    ``evaluate(columns)``, the values at the points whose ``grid.split``
-    columns are given.  They must be the doubles ``evaluator`` gives at
-    those points, bit for bit.
+    An axis-mean function f(x) = scale * mean_i profile(x_i) is given by its
+    form instead of an evaluator: ``profile``, an elementwise map that
+    returns a new array, and ``scale``.  The evaluator is then derived from
+    the form, and ``on_grid`` reads the function from one profile table per
+    grid axis, the same doubles bit for bit.
     """
 
     def __init__(
         self,
-        evaluator: Callable[[np.ndarray], np.ndarray],
+        evaluator: Callable[[np.ndarray], np.ndarray] | None,
         spec: HolderClassSpec,
         exact_integral: float | None = None,
         name: str = "",
-        tabulate: Callable[[Grid], Callable] | None = None,
+        profile: Callable[[np.ndarray], np.ndarray] | None = None,
+        scale: float = 1.0,
     ):
-        self.evaluator = evaluator
+        if (evaluator is None) == (profile is None):
+            raise ValueError("give either an evaluator or an axis-mean profile")
+        self.evaluator = self._from_profile if evaluator is None else evaluator
         self.spec = spec
         self.exact_integral = exact_integral
         self.name = name
-        self.tabulate = tabulate
+        self.profile = profile
+        self.scale = scale
 
     def __call__(self, points: np.ndarray, ledger: ResourceLedger | None = None) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -99,36 +117,50 @@ class HolderFunction:
             ledger.classical_evals += points.shape[0]
         return np.asarray(self.evaluator(points), dtype=float)
 
+    def _from_profile(self, points: np.ndarray) -> np.ndarray:
+        # The profile runs once on all the coordinates of the points.
+        per_axis = self.profile(points.reshape(-1)).reshape(points.shape)
+        return self._scaled_mean([per_axis[:, axis] for axis in range(points.shape[1])])
+
+    def _scaled_mean(self, columns: list[np.ndarray]) -> np.ndarray:
+        """``scale`` times the axis mean of the profile values ``columns``, one array per axis."""
+        mean = _axis_mean(columns)
+        # Scaling by one changes nothing, so it is not done.
+        if self.scale != 1.0:
+            mean *= self.scale
+        return mean
+
     def on_grid(self, grid: Grid) -> Callable:
         """``values(idx, ledger=None)``: the function at ``grid.points(idx)``.
 
         Each call charges ``ledger`` one classical evaluation per index.  With
-        ``tabulate`` and d >= 2, the calls evaluate the points until, with the
-        current call, they have read as many as the tables hold coordinates,
-        d * ``grid.per_axis``; then the tables are built, once, and every
-        later call gathers from them.  A rule that walks the grid reaches that
-        count within its first blocks; a few coin draws on a fine coupled grid
-        never do, and never pay for tables larger than their reads.  At d = 1
-        every coordinate is distinct, so the tables would be as large as the
-        grid and the points are always evaluated.
+        a profile and d >= 2, the calls evaluate the points until, with the
+        current call, they have read as many as the table holds coordinates,
+        d * ``grid.per_axis``; then ``profile(grid.axis())`` is tabulated,
+        once, and every later call gathers from it along each axis.  A rule
+        that walks the grid reaches that count within its first blocks; a
+        few coin draws on a fine coupled grid never do, and never pay for a
+        table larger than their reads.  At d = 1 every coordinate is
+        distinct, so the table would be as large as the grid and the points
+        are always evaluated.
         """
         if grid.d != self.spec.d:
             raise ValueError(f"grid has dimension {grid.d}, expected {self.spec.d}")
-        if self.tabulate is None or grid.d < 2:
+        if self.profile is None or grid.d < 2:
             return lambda idx, ledger=None: self(grid.points(idx), ledger)
         unread = grid.d * grid.per_axis
-        evaluate = None
+        table = None
 
         def values(idx: np.ndarray, ledger: ResourceLedger | None = None) -> np.ndarray:
-            nonlocal unread, evaluate
-            if evaluate is None:
+            nonlocal unread, table
+            if table is None:
                 unread -= idx.size
                 if unread > 0:
                     return self(grid.points(idx), ledger)
-                evaluate = self.tabulate(grid)
+                table = self.profile(grid.axis())
             if ledger is not None:
                 ledger.classical_evals += idx.size
-            return evaluate(grid.split(idx))
+            return self._scaled_mean([table.take(column) for column in grid.split(idx)])
 
         return values
 
@@ -242,40 +274,6 @@ def verify_membership(f: HolderFunction, resolution: int | None = None) -> Membe
 _MULTISCALE_LAYOUT = {4: 8, 3: 9}
 
 
-def _axis_mean(columns: list[np.ndarray]) -> np.ndarray:
-    """The d columns summed in axis order onto zeros, then divided by d; inputs are kept.
-
-    Zeros plus the first column is that column plus 0.0, and dividing by one
-    changes nothing, so neither is done as such.
-    """
-    acc = columns[0] + 0.0
-    for column in columns[1:]:
-        acc += column
-    if len(columns) > 1:
-        acc /= len(columns)
-    return acc
-
-
-def _axis_form(profile: Callable[[np.ndarray], np.ndarray]) -> tuple[Callable, Callable]:
-    """(evaluator, tabulate) of the mean of ``profile`` over the axes.
-
-    ``profile`` must be elementwise.  The evaluator runs it once on all the
-    coordinates of its points; ``tabulate`` runs it once on the grid's axis
-    coordinates and gathers from that table.  Both average the same doubles
-    in the same order, so they agree bit for bit.
-    """
-
-    def evaluator(points: np.ndarray) -> np.ndarray:
-        per_axis = profile(points.reshape(-1)).reshape(points.shape)
-        return _axis_mean([per_axis[:, axis] for axis in range(points.shape[1])])
-
-    def tabulate(grid: Grid):
-        table = profile(grid.axis())
-        return lambda columns: _axis_mean([table.take(column) for column in columns])
-
-    return evaluator, tabulate
-
-
 def _multiscale_axis(t: np.ndarray, alpha: float, base: int, bands: Grid) -> np.ndarray:
     # Band b, cell b of ``bands``, hosts the triangle wave of period base**-(b+2)
     # at its alpha-scaled amplitude and with alternating sign, on top of a
@@ -331,13 +329,12 @@ def multiscale_function(spec: HolderClassSpec, base: int = 4) -> HolderFunction:
         raise ValueError(f"base must be one of {sorted(_MULTISCALE_LAYOUT)}, got {base}")
     alpha = spec.alpha
     bands = Grid(_MULTISCALE_LAYOUT[base], 1)
-    evaluator, tabulate = _axis_form(lambda t: _multiscale_axis(t, alpha, base, bands))
     return HolderFunction(
-        evaluator,
+        None,
         spec,
         exact_integral=_multiscale_axis_integral(alpha, base),
         name="multiscale" if base == 4 else f"multiscale{base}",
-        tabulate=tabulate,
+        profile=lambda t: _multiscale_axis(t, alpha, base, bands),
     )
 
 
@@ -374,20 +371,10 @@ def test_suite(spec: HolderClassSpec) -> list[HolderFunction]:
 def _scaled(f: HolderFunction, scale: float) -> HolderFunction:
     if scale == 1.0:
         return f
-    evaluator = f.evaluator
-    tabulate = None
-    if f.tabulate is not None:
-        def tabulate(grid: Grid, _t=f.tabulate, _s=scale):
-            evaluate = _t(grid)
-            return lambda columns: _s * evaluate(columns)
-
-    return HolderFunction(
-        lambda pts, _e=evaluator, _s=scale: _s * _e(pts),
-        f.spec,
-        exact_integral=None if f.exact_integral is None else scale * f.exact_integral,
-        name=f.name,
-        tabulate=tabulate,
-    )
+    exact = None if f.exact_integral is None else scale * f.exact_integral
+    if f.profile is not None:
+        return HolderFunction(None, f.spec, exact, f.name, profile=f.profile, scale=scale * f.scale)
+    return HolderFunction(lambda pts, _e=f.evaluator, _s=scale: _s * _e(pts), f.spec, exact, f.name)
 
 
 def suite_member(spec: HolderClassSpec, name: str) -> HolderFunction:

@@ -180,8 +180,8 @@ class Plan:
     Monte Carlo trials sample (the residual, or f itself for plain Monte
     Carlo), ``grid_values`` the residual on coin's coupled grid, as
     ``HolderFunction.on_grid`` returns it, so all coin trials share its
-    tables, and ``law`` the quantum register's outcome law (None for
-    classical methods and degenerate quantum runs).  ``parameters`` is
+    one profile table, and ``law`` the quantum register's outcome law (None
+    for classical methods and degenerate quantum runs).  ``parameters`` is
     copied into every trial's result.
     """
 

@@ -8,9 +8,10 @@ budget exactly (cells * (k+1)) ** d.
 
 Every rule here walks a ``Grid``: the midpoint rule and the sup probe its
 cell midpoints, the projection its interpolation nodes.  Values come from
-``HolderFunction.on_grid``, which reads an axis-separable function from
-per-axis tables at d >= 2 and charges one classical evaluation per point
-either way.
+``HolderFunction.on_grid``, which reads an axis-mean function from one
+profile table per axis at d >= 2 and charges one classical evaluation per
+point either way.  At k = 0 the residual of an axis-mean function is an
+axis mean as well, so its values come from one table per axis too.
 
 ``walk`` sizes its blocks in coordinates, not points: ``BLOCK`` coordinates
 are ``BLOCK // d`` points.  An evaluator's temporaries hold one double per
@@ -114,7 +115,13 @@ class PiecewiseInterpolant:
         k, d, ell = self.spec.k, self.spec.d, self.ell
         cells = self.cells.cell_of(points)
         if k == 0:
-            return self.cell_constants(cells.T)
+            # The basis is all ones: each point takes its cell's one node
+            # value, plus 0.0 so that -0.0 reads 0.0 as in the one-term sum.
+            # It is taken from the node column itself: a contiguous copy
+            # would hold the node values twice.
+            values = self.node_values[:, 0].take(self.cells.cell_index(cells.T))
+            values += 0.0
+            return values
         flat_cell = self.cells.cell_index(cells.T)
         tau = points * ell - cells
         basis = None
@@ -126,17 +133,6 @@ class PiecewiseInterpolant:
             else:
                 basis = (basis[:, :, None] * axis_basis[:, None, :]).reshape(len(points), -1)
         return (self.node_values[flat_cell] * basis).sum(axis=1)
-
-    def cell_constants(self, axis_cells) -> np.ndarray:
-        """At k = 0, the interpolant on the cells given by their per-axis
-        indices, one array per axis, axis 0 first."""
-        # The basis is all ones: each point takes its cell's one node value,
-        # plus 0.0 so that -0.0 reads 0.0 as in the one-term sum.  It is
-        # taken from the node column itself: a contiguous copy would hold the
-        # node values twice, 4.2 MB more for a 524,176-node interpolant.
-        values = self.node_values[:, 0].take(self.cells.cell_index(axis_cells))
-        values += 0.0
-        return values
 
     def node_points(self) -> np.ndarray:
         """All interpolation nodes, cell-major, as ``interpolate`` evaluated them."""
@@ -174,30 +170,40 @@ def interpolate(
 def residual(f: HolderFunction, p: PiecewiseInterpolant) -> HolderFunction:
     """The function f - Pf; one f evaluation plus one local polynomial per point.
 
-    At k = 0 on a grid, Pf's cell along each axis depends on that axis's
-    coordinate alone, so a tabulated f keeps its tables: the residual reads
-    its cell index from per-axis tables too.
+    At k = 0, Pf at x is f at the node of x's cell.  For an axis-mean f,
+    s * mean_i h(x_i), that node has the cell midpoints m(x_i) as its
+    coordinates, so the residual is an axis mean too, of the profile
+    r(t) = s * h(t) - s * h(m(t)) with scale one, and a grid reads it from
+    one profile table.  It keeps the cells and the ell values s * h(m), not
+    the interpolant.  At d = 1 it gives the doubles of f - Pf; at d >= 2 it
+    averages the per-axis differences instead of differencing two means,
+    which moves its values by ulps.
     """
     if p.spec.d != f.spec.d:
         raise ValueError("interpolant and function dimensions differ")
+    exact = None
+    if f.exact_integral is not None:
+        exact = f.exact_integral - p.exact_integral
+    name = f"{f.name or 'f'}-residual"
+    if f.profile is not None and p.spec.k == 0:
+        profile, scale, cells = f.profile, f.scale, p.cells
+        # The node coordinates, as ``interpolate`` evaluated f at them.
+        at_nodes = profile(_node_grid(p.ell, 0, 1).axis())
+        at_nodes *= scale
+
+        def r(t: np.ndarray) -> np.ndarray:
+            values = profile(t)
+            values *= scale
+            values -= at_nodes.take(cells.cell_of(t))
+            return values
+
+        return HolderFunction(None, f.spec, exact_integral=exact, name=name, profile=r)
     evaluator = f.evaluator
 
     def g(points: np.ndarray) -> np.ndarray:
         return np.asarray(evaluator(points), dtype=float) - p.evaluate(points)
 
-    tabulate = None
-    if f.tabulate is not None and p.spec.k == 0:
-        def tabulate(grid: Grid):
-            f_at = f.tabulate(grid)
-            cells = p.cells.cell_of(grid.axis())
-            return lambda columns: f_at(columns) - p.cell_constants([cells.take(c) for c in columns])
-
-    exact = None
-    if f.exact_integral is not None:
-        exact = f.exact_integral - p.exact_integral
-    return HolderFunction(
-        g, f.spec, exact_integral=exact, name=f"{f.name or 'f'}-residual", tabulate=tabulate
-    )
+    return HolderFunction(g, f.spec, exact_integral=exact, name=name)
 
 
 def probe_sup(f: HolderFunction, cell_resolution: int) -> float:

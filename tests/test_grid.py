@@ -91,39 +91,10 @@ def test_measurement_grid_matches_the_former_meshgrid_bitwise():
     assert seen[0].tobytes() == former.tobytes()
 
 
-# Per-axis profiles of the product members.  The suite evaluates them with
-# np.prod and builds no tables for them; the tests below give them tables,
-# multiplied in axis order as np.prod does, so the table path is also
-# checked for a second combine rule and at k = 1.
-PRODUCT_PROFILES = {"product": lambda t: t, "cos-product": lambda t: np.cos(np.pi * t)}
-
-
-def _product_tables(profile):
-    def tabulate(grid):
-        table = profile(grid.axis())
-
-        def evaluate(columns):
-            acc = table.take(columns[0])
-            for column in columns[1:]:
-                acc *= table.take(column)
-            return acc
-
-        return evaluate
-
-    return tabulate
-
-
-def _tabulated_member(spec, name):
-    """The named suite member, with test-local tables if it is a product member."""
-    if name not in PRODUCT_PROFILES:
-        return suite_member(spec, name)
-    raw = next(raw for raw in holder._raw_suite(spec) if raw.name == name)
-    raw.tabulate = _product_tables(PRODUCT_PROFILES[name])
-    return holder._fit_into_class(raw)
-
-
-MEMBERS = [(d, 0, 1.0, name) for d in (1, 2, 3) for name in ("multiscale", "multiscale3", *PRODUCT_PROFILES)]
-MEMBERS += [(d, 1, 0.5, name) for d in (1, 2, 3) for name in PRODUCT_PROFILES]
+# The suite's axis-mean members read their profile table at d >= 2; the
+# product members have no axis form, so their grids evaluate every point.
+MEMBERS = [(d, 0, 1.0, name) for d in (1, 2, 3) for name in ("multiscale", "multiscale3", "product", "cos-product")]
+MEMBERS += [(d, 1, 0.5, name) for d in (1, 2, 3) for name in ("product", "cos-product")]
 
 
 def test_every_separable_member_declares_its_axis_form():
@@ -131,42 +102,34 @@ def test_every_separable_member_declares_its_axis_form():
     tabulated = set()
     for d in (1, 2, 3):
         for k, alpha in ((0, 1.0), (1, 0.5)):
-            tabulated |= {raw.name for raw in holder._raw_suite(make_spec(d, k, alpha)) if raw.tabulate}
+            tabulated |= {raw.name for raw in holder._raw_suite(make_spec(d, k, alpha)) if raw.profile}
     assert tabulated == {"multiscale", "multiscale3"}
 
 
 @pytest.mark.parametrize("d, k, alpha, name", MEMBERS)
 def test_on_grid_equals_the_evaluator_at_the_grid_points_bitwise(d, k, alpha, name):
-    f = _tabulated_member(make_spec(d, k, alpha), name)
+    f = suite_member(make_spec(d, k, alpha), name)
+    assert (f.profile is not None) == name.startswith("multiscale")
     for grid in _grids(d):
         idx = _indices(grid.size, k + d)
         expected = f(grid.points(idx))
         ledger = ResourceLedger()
         assert f.on_grid(grid)(idx, ledger).tobytes() == expected.tobytes()
         assert ledger.classical_evals == idx.size
-        # The tables themselves, also at d = 1 where on_grid does not use them.
-        assert f.tabulate(grid)(grid.split(idx)).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("d, alpha, name", [(d, a, n) for d, k, a, n in MEMBERS if k == 0])
 def test_residual_on_grid_equals_its_evaluator_bitwise(d, alpha, name):
-    f = _tabulated_member(make_spec(d, 0, alpha), name)
+    f = suite_member(make_spec(d, 0, alpha), name)
     p = interpolate(f, {1: 50, 2: 100, 3: 130}[d])
     g = residual(f, p)
-    assert g.tabulate is not None
+    assert (g.profile is not None) == (f.profile is not None)
     # Coupled grids finer than the partition, aligned with it or not.
     for ell in (p.ell * 4, p.ell * 3 + 2, p.ell + 1):
         grid = Grid(ell, d)
         idx = _indices(grid.size, ell)
         expected = g(grid.points(idx))
         assert g.on_grid(grid)(idx).tobytes() == expected.tobytes()
-        assert g.tabulate(grid)(grid.split(idx)).tobytes() == expected.tobytes()
-
-
-def test_residual_above_k0_keeps_the_evaluator():
-    f = _tabulated_member(make_spec(2, 1, 0.5), "product")
-    assert f.tabulate is not None
-    assert residual(f, interpolate(f, 64)).tabulate is None
 
 
 def _plain(f):
@@ -174,34 +137,63 @@ def _plain(f):
     return HolderFunction(f.evaluator, f.spec, exact_integral=f.exact_integral, name=f.name)
 
 
-@pytest.mark.parametrize("d, ell, name", [(2, 520, "multiscale"), (3, 67, "multiscale3"), (2, 520, "product")])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("name", ["multiscale", "multiscale3"])
+def test_axis_mean_residual_is_f_minus_pf_to_a_few_ulps(d, name):
+    # The axis-mean residual averages per-axis differences; f - Pf differences
+    # two means.  Both are the same function, up to rounding.
+    f = suite_member(make_spec(d, 0, 1.0), name)
+    p = interpolate(f, {2: 100, 3: 130}[d])
+    g, generic = residual(f, p), residual(_plain(f), p)
+    assert g.profile is not None and generic.profile is None
+    grid = Grid(p.ell * 3 + 2, d)
+    idx = _indices(grid.size, d)
+    for points in (np.random.default_rng(d).random((5000, d)), grid.points(idx)):
+        ulp = np.finfo(float).eps * np.abs(f(points)).max()
+        assert np.abs(g(points) - generic(points)).max() <= 4 * ulp
+    assert g.on_grid(grid)(idx).tobytes() == g(grid.points(idx)).tobytes()
+
+
+def test_residual_above_k0_keeps_the_evaluator():
+    f = HolderFunction(None, make_spec(2, 1, 0.5), name="square-mean", profile=lambda t: t * t)
+    p = interpolate(f, 64)
+    g = residual(f, p)
+    assert f.profile is not None and g.profile is None
+    points = np.random.default_rng(1).random((1000, 2))
+    assert g(points).tobytes() == (f(points) - p.evaluate(points)).tobytes()
+
+
+@pytest.mark.parametrize("d, ell, name", [(2, 520, "multiscale"), (3, 67, "multiscale3")])
 def test_rules_give_the_same_results_with_and_without_tables(d, ell, name):
     # Grids larger than one chunk, so each walk crosses a chunk edge.
-    f = _tabulated_member(make_spec(d, 0, 1.0), name)
+    f = suite_member(make_spec(d, 0, 1.0), name)
     plain = _plain(f)
-    assert ell**d > CHUNK and f.tabulate is not None
+    assert ell**d > CHUNK and f.profile is not None
     ledgers = ResourceLedger(), ResourceLedger()
     assert midpoint_rule(f, ell, ledgers[0]).hex() == midpoint_rule(plain, ell, ledgers[1]).hex()
     fast, slow = interpolate(f, CHUNK + 5000, ledgers[0]), interpolate(plain, CHUNK + 5000, ledgers[1])
     assert fast.node_values.tobytes() == slow.node_values.tobytes()
     assert ledgers[0].classical_evals == ledgers[1].classical_evals == ell**d + fast.n_points
-    assert probe_sup(residual(f, fast), 40) == probe_sup(residual(plain, slow), 40)
+    g = residual(f, fast)
+    assert probe_sup(g, 40) == probe_sup(_plain(g), 40)
 
 
 @pytest.mark.parametrize("method", ["coin", "quantum"])
-def test_coupled_grid_plans_give_the_same_results_with_and_without_tables(method):
+def test_coupled_grid_plans_give_the_same_results_with_and_without_tables(method, monkeypatch):
+    # The plans' residual read from its one table, then with its form dropped
+    # so that every coupled-grid point is evaluated.
     f = suite_member(make_spec(2, 0, 1.0), "multiscale")
-    plain = _plain(f)
+    build, eps1 = (plan_coin, 2**-5) if method == "coin" else (plan_quantum, 2**-6)
+    fast = build(f, eps1)
+    monkeypatch.setattr(integrators, "residual", lambda f, p: _plain(quadrature.residual(f, p)))
+    slow = build(f, eps1)
     if method == "quantum":
-        fast, slow = plan_quantum(f, 2**-6), plan_quantum(plain, 2**-6)
         assert fast.parameters == slow.parameters
         assert fast.law.probs.tobytes() == slow.law.probs.tobytes()
         return
-    eps1 = 2**-5
-    fast, slow = plan_coin(f, eps1), plan_coin(plain, eps1)
     for seed in range(3):
         a = integrate_coin(f, eps1, np.random.default_rng(seed), plan=fast)
-        b = integrate_coin(plain, eps1, np.random.default_rng(seed), plan=slow)
+        b = integrate_coin(f, eps1, np.random.default_rng(seed), plan=slow)
         assert a.estimate.hex() == b.estimate.hex()
         assert a.ledger.as_dict() == b.ledger.as_dict() and a.parameters == b.parameters
 
@@ -235,7 +227,8 @@ def test_grid_rules_read_the_tables_and_never_the_points(profile_calls):
     assert profile_calls == [300, p.ell]
     assert ledger.classical_evals == 300**2 + p.n_points
     probe_sup(residual(f, p), 10)
-    assert profile_calls == [300, p.ell, 80]
+    # The residual's node values, then the probe grid's table.
+    assert profile_calls == [300, p.ell, p.ell, 80]
 
 
 def test_one_dimensional_grids_evaluate_the_points(profile_calls):
@@ -266,16 +259,18 @@ def test_a_coin_row_builds_its_tables_once(profile_calls):
     eps1 = 2**-5
     del profile_calls[:]
     plan = plan_coin(f, eps1)
-    # The interpolation nodes' table; the coupled grid's waits for the draws.
-    assert profile_calls == [math.isqrt(plan.parameters["n_points"])]
+    # The interpolation nodes' table and the residual's node values; the
+    # coupled grid's table waits for the draws.
+    ell = math.isqrt(plan.parameters["n_points"])
+    assert profile_calls == [ell, ell]
     draws, ell_n = plan.parameters["draws"], plan.parameters["ell_N"]
     trials = -(-2 * ell_n // draws)
     assert trials == 5
     for seed in range(3 * trials):
         integrate_coin(f, eps1, np.random.default_rng(seed), plan=plan)
     # Trials before the draws reach 2 * ell_N evaluate their points, then
-    # one table serves every later trial.
-    assert profile_calls[1:] == [2 * draws] * (trials - 1) + [ell_n]
+    # the residual's one table serves every later trial.
+    assert profile_calls[2:] == [2 * draws] * (trials - 1) + [ell_n]
 
 
 def test_a_few_coin_draws_on_a_fine_grid_build_no_tables(monkeypatch):

@@ -8,6 +8,9 @@ the pass rate; a nonzero exit means the script itself broke.  From the
 repository root, about 15 s on two cores:
 
     python tools/seed_audit.py > tools/c05_seed_audit.md
+
+CI writes the table to a temporary file and fails on any difference from
+the committed ``tools/c05_seed_audit.md``.
 """
 
 from __future__ import annotations
