@@ -62,17 +62,20 @@ def make_spec(d: int, k: int, alpha: float) -> HolderClassSpec:
     return HolderClassSpec(d=int(d), k=int(k), alpha=float(alpha))
 
 
-def _axis_mean(columns: list[np.ndarray]) -> np.ndarray:
-    """The d columns summed in axis order onto zeros, then divided by d; inputs are kept.
+def _axis_mean(columns: list[np.ndarray], scale: float = 1.0) -> np.ndarray:
+    """The d columns summed in axis order onto zeros, divided by d, then
+    multiplied by ``scale``; inputs are kept.
 
-    Zeros plus the first column is that column plus 0.0, and dividing by one
-    changes nothing, so neither is done as such.
+    Zeros plus the first column is that column plus 0.0, and dividing or
+    multiplying by one changes nothing, so none of these is done as such.
     """
     acc = columns[0] + 0.0
     for column in columns[1:]:
         acc += column
     if len(columns) > 1:
         acc /= len(columns)
+    if scale != 1.0:
+        acc *= scale
     return acc
 
 
@@ -87,8 +90,8 @@ class HolderFunction:
     An axis-mean function f(x) = scale * mean_i profile(x_i) is given by its
     form instead of an evaluator: ``profile``, an elementwise map that
     returns a new array, and ``scale``.  The evaluator is then derived from
-    the form, and ``on_grid`` reads the function from one profile table per
-    grid axis, the same doubles bit for bit.
+    the form, and ``on_grid`` reads the function from one profile table,
+    gathered along each grid axis, the same doubles bit for bit.
     """
 
     def __init__(
@@ -120,15 +123,7 @@ class HolderFunction:
     def _from_profile(self, points: np.ndarray) -> np.ndarray:
         # The profile runs once on all the coordinates of the points.
         per_axis = self.profile(points.reshape(-1)).reshape(points.shape)
-        return self._scaled_mean([per_axis[:, axis] for axis in range(points.shape[1])])
-
-    def _scaled_mean(self, columns: list[np.ndarray]) -> np.ndarray:
-        """``scale`` times the axis mean of the profile values ``columns``, one array per axis."""
-        mean = _axis_mean(columns)
-        # Scaling by one changes nothing, so it is not done.
-        if self.scale != 1.0:
-            mean *= self.scale
-        return mean
+        return _axis_mean([per_axis[:, axis] for axis in range(points.shape[1])], self.scale)
 
     def on_grid(self, grid: Grid) -> Callable:
         """``values(idx, ledger=None)``: the function at ``grid.points(idx)``.
@@ -160,7 +155,7 @@ class HolderFunction:
                 table = self.profile(grid.axis())
             if ledger is not None:
                 ledger.classical_evals += idx.size
-            return self._scaled_mean([table.take(column) for column in grid.split(idx)])
+            return _axis_mean([table.take(column) for column in grid.split(idx)], self.scale)
 
         return values
 
