@@ -9,9 +9,9 @@ budget exactly (cells * (k+1)) ** d.
 Every rule here walks a ``Grid``: the midpoint rule and the sup probe its
 cell midpoints, the projection its interpolation nodes.  Values come from
 ``HolderFunction.on_grid``, which reads an axis-mean function from one
-profile table per axis at d >= 2 and charges one classical evaluation per
-point either way.  At k = 0 the residual of an axis-mean function is an
-axis mean as well, so its values come from one table per axis too.
+profile table at d >= 2 and charges one classical evaluation per point
+either way.  At k = 0 the residual of an axis-mean function is an axis
+mean as well, so it is read from one table too.
 
 ``walk`` sizes its blocks in coordinates, not points: ``BLOCK`` coordinates
 are ``BLOCK // d`` points.  An evaluator's temporaries hold one double per

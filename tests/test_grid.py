@@ -154,6 +154,14 @@ def test_axis_mean_residual_is_f_minus_pf_to_a_few_ulps(d, name):
     assert g.on_grid(grid)(idx).tobytes() == g(grid.points(idx)).tobytes()
 
 
+def test_a_function_is_given_by_an_evaluator_or_by_a_profile():
+    spec = make_spec(1, 0, 1.0)
+    with pytest.raises(ValueError, match="either an evaluator or an axis-mean profile"):
+        HolderFunction(None, spec)
+    with pytest.raises(ValueError, match="either an evaluator or an axis-mean profile"):
+        HolderFunction(lambda pts: pts[:, 0], spec, profile=lambda t: t)
+
+
 def test_residual_above_k0_keeps_the_evaluator():
     f = HolderFunction(None, make_spec(2, 1, 0.5), name="square-mean", profile=lambda t: t * t)
     p = interpolate(f, 64)
