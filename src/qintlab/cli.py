@@ -12,18 +12,20 @@ from . import amp_est, grover, holder, integrators, ratelab
 from .holder import make_spec
 
 
-def _parse_budget_token(token: str) -> int:
-    token = token.strip()
-    if "^" in token:
-        base, exp = token.split("^")
+def _parse_budget_token(token: str, text: str) -> int:
+    """A count or a power like 2^4; the refusal quotes ``token`` and ``text``."""
+    try:
+        base, exp = token.split("^") if "^" in token else (token, "1")
         return int(base) ** int(exp)
-    return int(token)
+    except ValueError:
+        raise ratelab.ConfigurationError(
+            f"--budgets {text!r}: {token.strip()!r} is not a count or a power like 2^4") from None
 
 
 def parse_budgets(text: str) -> list[int]:
     """Either a comma list of counts or a doubling range like 2^4..2^14."""
     if ".." in text:
-        lo, hi = (_parse_budget_token(tok) for tok in text.split("..", 1))
+        lo, hi = (_parse_budget_token(tok, text) for tok in text.split("..", 1))
         if not 1 <= lo <= hi:
             raise ratelab.ConfigurationError(f"budget range needs 1 <= low <= high, got {text!r}")
         budgets = []
@@ -32,10 +34,15 @@ def parse_budgets(text: str) -> list[int]:
             budgets.append(b)
             b *= 2
         return budgets
-    budgets = [_parse_budget_token(tok) for tok in text.split(",")]
+    budgets = [_parse_budget_token(tok, text) for tok in text.split(",")]
     if min(budgets) < 1:
         raise ratelab.ConfigurationError(f"budgets must be at least 1, got {text!r}")
     return budgets
+
+
+def _at_least_one(value: int, flag: str) -> None:
+    if value < 1:
+        raise ratelab.ConfigurationError(f"{flag} must be at least 1, got {value}")
 
 
 def _sized(count: int, what: str, flag: str) -> int:
@@ -55,8 +62,7 @@ def _pick_function(args, spec) -> holder.HolderFunction:
 
 
 def cmd_grover(args) -> int:
-    if args.shots < 1:
-        raise ratelab.ConfigurationError(f"--shots must be at least 1, got {args.shots}")
+    _at_least_one(args.shots, "--shots")
     # The register is sized before its default iteration count, a float
     # power that overflows from m = 2052; each gate touches every amplitude.
     _sized(2**args.m, "grover register size", f"--m {args.m}")
@@ -83,6 +89,7 @@ def _require_trials(trials: int) -> None:
 
 def cmd_mean(args) -> int:
     _require_trials(args.trials)
+    _at_least_one(args.n, "--n")
     _sized(args.n, "mean item count", f"--n {args.n}")
     if not 0.0 < args.eps < math.inf:
         raise ratelab.ConfigurationError(f"--eps must be positive and finite, got {args.eps}")
@@ -114,6 +121,7 @@ def cmd_mean(args) -> int:
 
 def cmd_fool(args) -> int:
     spec = make_spec(args.d, args.k, args.alpha)
+    _at_least_one(args.n, "--n")
     n_bumps = _sized(args.n, "fooling bump count", f"--n {args.n}")
     rng = np.random.default_rng(args.seed)
     if args.signs == "all-plus":
@@ -140,8 +148,7 @@ def cmd_integrate(args) -> int:
         raise ratelab.ConfigurationError(f"--eps1 must be positive and finite, got {args.eps1}")
     if args.method == "rand-quantum" and not 0.0 <= args.p <= 1.0:
         raise ratelab.ConfigurationError(f"--p must lie in [0, 1], got {args.p}")
-    if args.fool_bumps < 1:
-        raise ratelab.ConfigurationError(f"--fool-bumps must be at least 1, got {args.fool_bumps}")
+    _at_least_one(args.fool_bumps, "--fool-bumps")
     ratelab.check_writable(args.out)
     try:
         rows = _integrate_rows(args)

@@ -131,7 +131,7 @@ class HolderFunction:
         Each call charges ``ledger`` one classical evaluation per index.  With
         a profile and d >= 2, the calls evaluate the points until, with the
         current call, they have read as many as the table holds coordinates,
-        d * ``grid.per_axis``; then ``profile(grid.axis())`` is tabulated,
+        d * ``grid.ell``; then ``profile(grid.axis())`` is tabulated,
         once, and every later call gathers from it along each axis.  A rule
         that walks the grid reaches that count within its first blocks; a
         few coin draws on a fine coupled grid never do, and never pay for a
@@ -143,7 +143,7 @@ class HolderFunction:
             raise ValueError(f"grid has dimension {grid.d}, expected {self.spec.d}")
         if self.profile is None or grid.d < 2:
             return lambda idx, ledger=None: self(grid.points(idx), ledger)
-        unread = grid.d * grid.per_axis
+        unread = grid.d * grid.ell
         table = None
 
         def values(idx: np.ndarray, ledger: ResourceLedger | None = None) -> np.ndarray:

@@ -6,8 +6,9 @@ cell-midpoint sample and no node is shared between cells.  Keeping nodes
 strictly inside cells gives closed-form cell integrals and makes the node
 budget exactly (cells * (k+1)) ** d.
 
-Every rule here walks a ``Grid``: the midpoint rule and the sup probe its
-cell midpoints, the projection its interpolation nodes.  Values come from
+Every rule here walks the cell midpoints of a ``Grid``: the midpoint rule
+and the sup probe those of their partition, the projection those of the
+(k + 1) * ell partition, which are its interpolation nodes.  Values come from
 ``HolderFunction.on_grid``, which reads an axis-mean function from one
 profile table at d >= 2 and charges one classical evaluation per point
 either way.  At k = 0 the residual of an axis-mean function is an axis
@@ -78,8 +79,21 @@ def _vandermonde_inverse(k: int) -> np.ndarray:
 
 
 def _node_grid(ell: int, k: int, d: int) -> Grid:
-    """The interpolation nodes, cell-major: the midpoints of k + 1 equal parts of each cell."""
-    return Grid(ell, d, Grid(k + 1, 1).axis())
+    """The interpolation nodes, the midpoints of k + 1 equal parts of each
+    cell: the cell midpoints of the (k + 1) * ell partition, in C order."""
+    return Grid((k + 1) * ell, d)
+
+
+def _cell_major(values: np.ndarray, ell: int, k: int, d: int) -> np.ndarray:
+    """The node grid's C-order ``values`` as (ell**d, (k+1)**d): a row per cell.
+
+    Along an axis a node's position is cell * (k + 1) + node; the transpose
+    puts every cell digit before every node digit, so at k = 0 and at d = 1
+    it moves nothing and the result is a view.
+    """
+    m = k + 1
+    order = (*range(0, 2 * d, 2), *range(1, 2 * d, 2))
+    return values.reshape((ell, m) * d).transpose(order).reshape(ell**d, m**d)
 
 
 def _integral_weights(k: int) -> np.ndarray:
@@ -89,7 +103,11 @@ def _integral_weights(k: int) -> np.ndarray:
 
 
 class PiecewiseInterpolant:
-    """Degree-k tensor Lagrange interpolant on a uniform ell**d partition."""
+    """Degree-k tensor Lagrange interpolant on a uniform ell**d partition.
+
+    ``node_values`` has one row per cell, in C order, holding the values at
+    that cell's (k + 1)**d nodes in C order.
+    """
 
     def __init__(self, spec, ell: int, node_values: np.ndarray):
         k, d = spec.k, spec.d
@@ -97,7 +115,6 @@ class PiecewiseInterpolant:
         self.ell = ell
         self.cells = Grid(ell, d)
         self.n_points = ((k + 1) * ell) ** d
-        # node_values arrives cell-major: shape (ell**d, (k+1)**d).
         self.node_values = node_values
         self._vinv = _vandermonde_inverse(k)
         w_axis = _integral_weights(k)
@@ -136,7 +153,9 @@ class PiecewiseInterpolant:
 
     def node_points(self) -> np.ndarray:
         """All interpolation nodes, cell-major, as ``interpolate`` evaluated them."""
-        return _node_grid(self.ell, self.spec.k, self.spec.d).points(np.arange(self.n_points))
+        k, d = self.spec.k, self.spec.d
+        idx = _cell_major(np.arange(self.n_points), self.ell, k, d)
+        return _node_grid(self.ell, k, d).points(idx.ravel())
 
 
 def interpolate(
@@ -145,7 +164,9 @@ def interpolate(
     """Projection onto piecewise degree-k tensor polynomials within budget.
 
     Uses the largest uniform partition whose node count stays at or below
-    n_target; the minimum budget is one cell, (k+1)**d nodes.
+    n_target; the minimum budget is one cell, (k+1)**d nodes.  The node grid
+    is walked in C order and regrouped cell-major, with one copy of the
+    values unless k = 0 or d = 1.
     """
     k, d = f.spec.k, f.spec.d
     per_cell = k + 1
@@ -160,11 +181,10 @@ def interpolate(
         raise ValueError(f"budget {n_target} below the {per_cell ** d}-node minimum")
     grid = _node_grid(ell, k, d)
     values = f.on_grid(grid)
-    node_values = np.empty((ell**d, per_cell**d))
-    flat = node_values.reshape(-1)
+    flat = np.empty(grid.size)
     for i, vals in enumerate(walk(lambda idx: values(idx, ledger), grid.size, d)):
         flat[i * CHUNK : i * CHUNK + vals.size] = vals
-    return PiecewiseInterpolant(f.spec, ell, node_values)
+    return PiecewiseInterpolant(f.spec, ell, _cell_major(flat, ell, k, d))
 
 
 def residual(f: HolderFunction, p: PiecewiseInterpolant) -> HolderFunction:
@@ -187,8 +207,8 @@ def residual(f: HolderFunction, p: PiecewiseInterpolant) -> HolderFunction:
     name = f"{f.name or 'f'}-residual"
     if f.profile is not None and p.spec.k == 0:
         profile, scale, cells = f.profile, f.scale, p.cells
-        # The node coordinates, as ``interpolate`` evaluated f at them.
-        at_nodes = profile(_node_grid(p.ell, 0, 1).axis())
+        # At k = 0 the nodes are the cell midpoints.
+        at_nodes = profile(cells.axis())
         at_nodes *= scale
 
         def r(t: np.ndarray) -> np.ndarray:

@@ -82,6 +82,14 @@ def test_rates_zero_budget_range_exit_code(capsys):
         ("grover --m 20 --marked 0",
          "error: --m 20 with 804 iterations is too large: the grover amplitude-update count 35429285888 is more than"),
         ("grover --m 16 --marked 0", "the grover amplitude-update count 448921600 is more than"),
+        # Counts below one and unreadable budgets name their flag.
+        ("mean --n -5 --eps 0.1", "error: --n must be at least 1, got -5"),
+        ("mean --n 0 --eps 0.1", "error: --n must be at least 1, got 0"),
+        ("fool --d 1 --n -4", "error: --n must be at least 1, got -4"),
+        ("fool --d 1 --n 0", "error: --n must be at least 1, got 0"),
+        ("rates --method det --d 1 --budgets 4, --trials 2", "error: --budgets '4,': '' is not a count or a power"),
+        ("rates --method det --d 1 --budgets 2^a..2^4", "error: --budgets '2^a..2^4': '2^a' is not a count or a power"),
+        ("rates --method det --d 1 --budgets 2^^4", "error: --budgets '2^^4': '2^^4' is not a count or a power"),
     ],
 )
 def test_out_of_range_inputs_exit_two(capsys, command, message):

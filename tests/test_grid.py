@@ -12,9 +12,6 @@ from qintlab.integrators import integrate_coin, plan_coin, plan_quantum
 from qintlab.ledger import ResourceLedger
 from qintlab.quadrature import CHUNK, interpolate, midpoint_rule, probe_sup, residual
 
-LOCAL = {0: [0.5], 1: [0.25, 0.75], 2: [1 / 6, 0.5, 5 / 6]}
-
-
 def _indices(n, seed):
     """First and last positions, then unsorted draws with repeats, as coin selects them."""
     rng = np.random.default_rng(seed)
@@ -22,8 +19,9 @@ def _indices(n, seed):
 
 
 def _grids(d):
+    """A partition and the interpolation node grids on it at k = 1 and 2."""
     ell = {1: 97, 2: 23, 3: 7}[d]
-    return [Grid(ell, d), Grid(ell, d, LOCAL[0]), Grid(ell, d, LOCAL[1]), Grid(ell, d, LOCAL[2])]
+    return [Grid((k + 1) * ell, d) for k in (0, 1, 2)]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -32,7 +30,7 @@ def test_points_are_the_axis_coordinates_at_the_split_positions(d):
         idx = _indices(grid.size, d)
         columns = grid.split(idx)
         axis = grid.axis()
-        assert axis.size == grid.per_axis and len(columns) == d
+        assert axis.size == grid.ell and len(columns) == d
         expected = np.stack([axis[column] for column in columns], axis=1)
         assert grid.points(idx).tobytes() == expected.tobytes()
 
@@ -73,11 +71,17 @@ def test_sub_cell_midpoints_are_one_cell_grid_axes_bitwise():
 
 def test_grid_size_and_overflow():
     assert Grid(5, 3).size == 125
-    assert Grid(5, 2, LOCAL[1]).size == 100
+    assert Grid(10, 2).size == 100
     with pytest.raises(OverflowError, match="cell count 4294967296\\^2"):
         Grid(2**32, 2)
-    with pytest.raises(OverflowError, match="node count"):
-        Grid(2**31, 2, LOCAL[1])
+
+    def evaluator(points):
+        raise AssertionError("evaluated before the size check")
+
+    # 2**32 cells per axis at k = 1 put 2**33 nodes on each axis.
+    f = HolderFunction(evaluator, make_spec(2, 1, 0.5))
+    with pytest.raises(OverflowError, match="cell count 8589934592\\^2"):
+        interpolate(f, 2**66)
 
 
 def test_measurement_grid_matches_the_former_meshgrid_bitwise():
@@ -291,7 +295,7 @@ def test_a_few_coin_draws_on_a_fine_grid_build_no_tables(monkeypatch):
     real = Grid.axis
 
     def axis(grid):
-        assert grid.per_axis < 10**6, "tabulated the coupled grid"
+        assert grid.ell < 10**6, "tabulated the coupled grid"
         return real(grid)
 
     monkeypatch.setattr(Grid, "axis", axis)

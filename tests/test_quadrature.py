@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qintlab import quadrature
+from qintlab import holder, quadrature
 from qintlab.grid import Grid
 from qintlab.holder import test_suite as benchmark_suite
 from qintlab.holder import HolderFunction, make_spec, suite_member
@@ -310,15 +310,44 @@ def test_cell_midpoints_match_the_former_formula_bitwise(d, ell):
     assert got.tobytes() == _cell_midpoints_former(indices, ell, d).tobytes()
 
 
+# Cells per axis for the k = 0 projections compared with the midpoint rule:
+# every count up to 150 at d = 1 and up to 40 at d = 2, then a spread up to
+# the one-chunk limit, CHUNK points.
+K0_CELLS = {
+    1: [*range(1, 151), 997, 4099, 65_537, CHUNK - 1, CHUNK],
+    2: [*range(1, 41), 97, 255, 333, 511, 512],
+}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("name", [raw.name for raw in holder._raw_suite(make_spec(1, 0, 1.0))])
+def test_piecewise_constant_integral_is_the_midpoint_rule_bitwise(d, name):
+    # At k = 0 the node of a cell is its midpoint, so a projection onto ell**d
+    # cells integrates to the midpoint rule with ell cells per axis, the same
+    # doubles summed in the same order.
+    f = suite_member(make_spec(d, 0, 1.0), name)
+    moved = [ell for ell in K0_CELLS[d] if interpolate(f, ell**d).exact_integral != midpoint_rule(f, ell)]
+    assert not moved, f"the projection's integral differs from the midpoint rule at ell = {moved}"
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("k", [0, 1, 2])
-def test_interpolation_nodes_match_the_former_formula_bitwise(k):
-    # The cell and local index as a quotient and a remainder, each shifted
-    # midpoint plus its local offset, as written before the divmod.
-    d, ell = 2, 37
-    nloc = (k + 1) ** d
-    local = (2 * np.arange(k + 1) + 1) / (2 * (k + 1))
-    offsets = np.stack([m.ravel() for m in np.meshgrid(local, local, indexing="ij")], axis=1) / ell
-    idx = np.arange(ell**d * nloc)
-    former = (_cell_midpoints_former(idx // nloc, ell, d) - 0.5 / ell) + offsets[idx % nloc]
-    p = PiecewiseInterpolant(make_spec(d, k, 0.5), ell, np.zeros((ell**d, nloc)))
-    assert p.node_points().tobytes() == former.tobytes()
+def test_node_points_are_the_fine_grid_midpoints_cell_major(d, k):
+    ell, m = {1: 11, 2: 6, 3: 4}[d], k + 1
+    # The fine position along each axis of every cell's every node, cells in
+    # C order and inside each cell its nodes in C order.
+    cells = np.indices((ell,) * d).reshape(d, -1, 1)
+    nodes = np.indices((m,) * d).reshape(d, 1, -1)
+    fine = (cells * m + nodes).reshape(d, -1)
+    cell_major = np.ravel_multi_index(tuple(fine), (m * ell,) * d)
+    grid = Grid(m * ell, d)
+    expected = grid.points(cell_major)
+    p = PiecewiseInterpolant(make_spec(d, k, 0.5), ell, np.zeros((ell**d, m**d)))
+    assert p.node_points().tobytes() == expected.tobytes()
+    # The interpolant's values regroup the walked grid in place wherever
+    # no node moves: one node per cell or one axis.
+    walked = np.arange(grid.size, dtype=float)
+    regrouped = quadrature._cell_major(walked, ell, k, d)
+    assert regrouped.shape == (ell**d, m**d)
+    assert regrouped.ravel().tolist() == cell_major.tolist()
+    assert np.shares_memory(regrouped, walked) == (k == 0 or d == 1)
