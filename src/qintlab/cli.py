@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -13,13 +14,17 @@ from .holder import make_spec
 
 
 def _parse_budget_token(token: str, text: str) -> int:
-    """A count or a power like 2^4; the refusal quotes ``token`` and ``text``."""
+    """A count or a power like 2^4 up to 2^63 - 1; the refusal quotes ``token`` and ``text``."""
     try:
-        base, exp = token.split("^") if "^" in token else (token, "1")
-        return int(base) ** int(exp)
-    except ValueError:
+        base, exp = map(int, token.split("^") if "^" in token else (token, "1"))
+        # |base|^exp >= 2^(exp * (bit_length - 1)), so a power this refuses is never computed.
+        budget = base**exp if exp * (abs(base).bit_length() - 1) < 64 else 2**63
+    except (ValueError, ArithmeticError):
         raise ratelab.ConfigurationError(
             f"--budgets {text!r}: {token.strip()!r} is not a count or a power like 2^4") from None
+    if budget >= 2**63:
+        raise ratelab.ConfigurationError(f"--budgets {text!r}: {token.strip()!r} is more than 2^63 - 1")
+    return budget
 
 
 def parse_budgets(text: str) -> list[int]:
@@ -82,13 +87,8 @@ def cmd_grover(args) -> int:
     return 0
 
 
-def _require_trials(trials: int) -> None:
-    if trials < 1:
-        raise ratelab.ConfigurationError("need at least one trial")
-
-
 def cmd_mean(args) -> int:
-    _require_trials(args.trials)
+    _at_least_one(args.trials, "--trials")
     _at_least_one(args.n, "--n")
     _sized(args.n, "mean item count", f"--n {args.n}")
     if not 0.0 < args.eps < math.inf:
@@ -127,7 +127,7 @@ def cmd_fool(args) -> int:
     if args.signs == "all-plus":
         signs = np.ones(n_bumps)
     elif args.signs == "alternating":
-        signs = np.array([(-1.0) ** i for i in range(n_bumps)])
+        signs = (-1.0) ** np.arange(n_bumps)
     else:
         signs = rng.choice([-1.0, 1.0], size=n_bumps)
     instance = holder.fooling_family(spec, n_bumps, signs)
@@ -143,7 +143,7 @@ def cmd_fool(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    _require_trials(args.trials)
+    _at_least_one(args.trials, "--trials")
     if not 0.0 < args.eps1 < math.inf:
         raise ratelab.ConfigurationError(f"--eps1 must be positive and finite, got {args.eps1}")
     if args.method == "rand-quantum" and not 0.0 <= args.p <= 1.0:
@@ -168,24 +168,21 @@ def cmd_integrate(args) -> int:
 def _integrate_rows(args) -> list[dict]:
     spec = make_spec(args.d, args.k, args.alpha)
     if args.method == "rand-quantum":
-        def sample(rng):
+        def sample(stream):
             ledger = integrators.ResourceLedger()
             estimate = integrators.expectation_randomized_quantum(
-                lambda r, n: (r.random(n) < args.p).astype(float), args.eps1, rng, ledger
+                lambda r, n: (r.random(n) < args.p).astype(float), args.eps1, stream(), ledger
             )
             return integrators.IntegrationResult(estimate, ledger)
 
         exact = args.p
-        stream = ratelab.trial_rng
     else:
         fn = _pick_function(args, spec)
-        method = ratelab.METHODS[args.method]
-        sample = method.by_eps(fn, args.eps1, args.mode)
+        sample = ratelab.METHODS[args.method].by_eps(fn, args.eps1, args.mode)
         exact = fn.exact_integral
-        stream = method.stream
     rows = []
     for trial in range(args.trials):
-        result = sample(stream(args.seed, 0, trial))
+        result = sample(functools.partial(ratelab.trial_rng, args.seed, 0, trial))
         rows.append({"trial": trial, "estimate": result.estimate, **result.ledger.as_dict(),
                      "error": abs(result.estimate - exact)})
     return rows
@@ -197,6 +194,7 @@ def cmd_rates(args) -> int:
         raise ratelab.ConfigurationError("rates needs a suite member with an exact integral")
     fn = _pick_function(args, spec)
     budgets = parse_budgets(args.budgets)
+    _at_least_one(args.trials, "--trials")
     ratelab.check_writable(args.out)
     report = ratelab.run_convergence(
         args.method, spec, budgets, args.trials, args.seed, fn, mode=args.mode

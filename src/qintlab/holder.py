@@ -447,7 +447,7 @@ def _poly_height_factor(spec: HolderClassSpec) -> float:
     law in the bump count.
     """
     ell = 2
-    signs = np.array([(-1.0) ** i for i in range(ell**spec.d)])
+    signs = (-1.0) ** np.arange(ell**spec.d)
     base = _build_instance(spec, ell, signs, height=(1.0 / ell) ** (spec.k + spec.alpha))
     quotient = verify_membership(base.as_function()).worst_quotient
     target = 1.0 - 2 * MEMBERSHIP_TOL

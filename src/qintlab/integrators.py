@@ -59,14 +59,18 @@ MAX_STREAM = 1 << 28
 NOISE_FLOOR = 64.0 * np.finfo(float).eps
 
 
+def count_text(count: int) -> str:
+    """``count`` in digits below 10^15, else as 10^x, which needs no decimal conversion of a huge int."""
+    return str(count) if count < 10**15 else f"10^{math.log10(count):.1f}"
+
+
 def check_count(count: float, what: str) -> int:
     """ceil(count), the ``what`` a run asks for; OverflowError naming it past a float or ``MAX_STREAM``."""
     if count == math.inf:
         raise OverflowError(f"the {what} overflows a float")
     count = math.ceil(count)
     if count > MAX_STREAM:
-        shown = count if count < 10**15 else f"10^{math.log10(count):.1f}"
-        raise OverflowError(f"the {what} {shown} is more than the {MAX_STREAM} a run evaluates")
+        raise OverflowError(f"the {what} {count_text(count)} is more than the {MAX_STREAM} a run evaluates")
     return count
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -28,6 +29,7 @@ from .holder import HolderClassSpec, HolderFunction
 from .integrators import (
     NOISE_FLOOR,
     IntegrationResult,
+    count_text,
     eps_count,
     integrate_coin,
     integrate_deterministic,
@@ -94,9 +96,9 @@ def trial_rng(seed: int, budget_index: int, trial_index: int) -> np.random.Gener
 
 def _det(fn, ell):
     # The rule draws nothing, so it runs once, when the sampler is built, and
-    # every trial gets its own copy of the result.
+    # every trial gets its own copy of the result without calling ``stream``.
     result = integrate_deterministic(fn, max(1, ell))
-    return lambda rng: replace(result, ledger=replace(result.ledger), parameters=dict(result.parameters))
+    return lambda stream: replace(result, ledger=replace(result.ledger), parameters=dict(result.parameters))
 
 
 def _det_by_eps(fn, eps1, mode):
@@ -112,24 +114,24 @@ def _det_by_eps(fn, eps1, mode):
 
 def _mc(fn, samples, variance_reduced=False):
     plan = plan_mc(fn, samples, variance_reduced)
-    return lambda rng: integrate_mc(
-        fn, samples, rng, variance_reduced=variance_reduced, plan=weakref.proxy(plan)
+    return lambda stream: integrate_mc(
+        fn, samples, stream(), variance_reduced=variance_reduced, plan=weakref.proxy(plan)
     )
 
 
 def _coin(fn, eps1):
     plan = plan_coin(fn, eps1)
-    return lambda rng: integrate_coin(fn, eps1, rng, plan=weakref.proxy(plan))
+    return lambda stream: integrate_coin(fn, eps1, stream(), plan=weakref.proxy(plan))
 
 
 def _quantum(fn, eps1, mode):
     plan = plan_quantum(fn, eps1, mode)
-    return lambda rng: integrate_quantum(fn, eps1, rng, mode=mode, plan=weakref.proxy(plan))
+    return lambda stream: integrate_quantum(fn, eps1, stream(), mode=mode, plan=weakref.proxy(plan))
 
 
 def _quantum_by_budget(fn, budget, mode):
     if budget < 16 or budget & (budget - 1):
-        raise ConfigurationError(f"quantum budgets must be powers of two >= 16, got {budget}")
+        raise ConfigurationError(f"quantum budgets must be powers of two >= 16, got {count_text(budget)}")
     return _quantum(fn, error_bound(budget), mode)
 
 
@@ -140,24 +142,19 @@ class Method:
     ``by_budget`` serves ``qintlab rates`` and ``by_eps`` serves ``qintlab
     integrate``; both take ``(fn, budget or eps1, mode)``, build the
     method's trial-invariant plan once, and return the per-trial sampler
-    ``rng -> IntegrationResult``.  The two maps differ on purpose.  Every
-    size bound is checked in ``integrators``, which raises OverflowError
-    naming the count.  ``cost`` reads the ledger categories the rate is
-    fitted on.  Samplers look the ``integrate_*`` functions up in this
-    module at call time, once per trial, so rebinding them here reaches
-    every trial; det, which draws nothing, calls ``integrate_deterministic``
-    once, when its sampler is built.  ``draws`` is False for a method whose
-    samplers read no stream: its trials get None from ``stream``.
+    ``stream -> IntegrationResult``; ``stream()`` builds the trial's
+    generator and a trial that draws calls it once.  The two maps differ on
+    purpose.  Every size bound is checked in ``integrators``, which raises
+    OverflowError naming the count.  ``cost`` reads the ledger categories
+    the rate is fitted on.  Samplers look the ``integrate_*`` functions up
+    in this module at call time, once per trial, so rebinding them here
+    reaches every trial; det, which draws nothing, calls
+    ``integrate_deterministic`` once, when its sampler is built.
     """
 
     by_budget: Callable
     by_eps: Callable
     cost: Callable[[ResourceLedger], int]
-    draws: bool = True
-
-    def stream(self, seed: int, budget_index: int, trial_index: int) -> np.random.Generator | None:
-        """The stream a trial's sampler is given: ``trial_rng``'s, or None if the method draws nothing."""
-        return trial_rng(seed, budget_index, trial_index) if self.draws else None
 
 
 METHODS = {
@@ -165,7 +162,6 @@ METHODS = {
         lambda fn, budget, mode: _det(fn, round(budget ** (1.0 / fn.spec.d))),
         _det_by_eps,
         lambda led: led.classical_evals,
-        draws=False,
     ),
     "mc": Method(
         lambda fn, budget, mode: _mc(fn, budget),
@@ -207,10 +203,11 @@ def run_convergence(
 
     Deterministic given the seed: trial streams are split from
     (seed, budget index, trial index), so trial counts do not perturb each
-    other; a method that draws nothing is given none.  Each row builds its method's plan once and samples every trial
-    from it.  A row's budget is the lower median of its trials'
-    costs, so it stays one trial's measured integer cost when the costs
-    vary (coin rejection draws a varying number of bits).
+    other; a trial builds its stream only if its method draws.  Each row
+    builds its method's plan once and samples every trial from it.  A row's
+    budget is the lower median of its trials' costs, so it stays one trial's
+    measured integer cost when the costs vary (coin rejection draws a
+    varying number of bits).
     """
     if method not in METHODS:
         raise ConfigurationError(f"method must be one of {tuple(METHODS)}, got {method!r}")
@@ -235,9 +232,9 @@ def run_convergence(
             sample = entry.by_budget(fn, budget, mode)
         except OverflowError as exc:
             raise ConfigurationError(
-                f"{method} budget {budget} asks for sizes that do not fit: {exc}"
+                f"{method} budget {count_text(budget)} asks for sizes that do not fit: {exc}"
             ) from exc
-        results = [sample(entry.stream(seed, bi, ti)) for ti in range(trials)]
+        results = [sample(functools.partial(trial_rng, seed, bi, ti)) for ti in range(trials)]
         records = [record(r) for r in results]
         budget_used = statistics.median_low(entry.cost(r.ledger) for r in results)
         return BudgetRow(budget, budget_used, records)

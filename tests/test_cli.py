@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -51,8 +52,9 @@ def test_rates_zero_budget_range_exit_code(capsys):
         ("integrate --method quantum --d 2 --eps1 1e-300", "--eps1 1e-300 is too small"),
         ("integrate --method rand-quantum --d 1 --eps1 0.25 --p 2", "--p must lie in"),
         ("integrate --method rand-quantum --d 1 --eps1 0.25 --p nan", "--p must lie in"),
-        ("integrate --method det --d 1 --eps1 0.1 --trials -2", "at least one trial"),
-        ("mean --n 4 --eps 0.1 --trials 0", "at least one trial"),
+        ("integrate --method det --d 1 --eps1 0.1 --trials -2", "error: --trials must be at least 1, got -2"),
+        ("mean --n 4 --eps 0.1 --trials 0", "error: --trials must be at least 1, got 0"),
+        ("rates --method det --d 1 --budgets 2^4..2^7 --trials 0", "error: --trials must be at least 1, got 0"),
         ("mean --n 4 --eps nan --trials 3", "--eps must be positive and finite"),
         ("mean --n 4 --eps inf --trials 3", "--eps must be positive and finite"),
         ("mean --n 4 --eps 1e-300 --trials 3", "--eps 1e-300 is too small"),
@@ -90,6 +92,15 @@ def test_rates_zero_budget_range_exit_code(capsys):
         ("rates --method det --d 1 --budgets 4, --trials 2", "error: --budgets '4,': '' is not a count or a power"),
         ("rates --method det --d 1 --budgets 2^a..2^4", "error: --budgets '2^a..2^4': '2^a' is not a count or a power"),
         ("rates --method det --d 1 --budgets 2^^4", "error: --budgets '2^^4': '2^^4' is not a count or a power"),
+        ("rates --method det --d 1 --budgets 0^-1", "error: --budgets '0^-1': '0^-1' is not a count or a power"),
+        # Powers past 2^63 - 1 are refused before they are computed.
+        ("rates --method det --d 1 --budgets 2^63", "error: --budgets '2^63': '2^63' is more than 2^63 - 1"),
+        ("rates --method det --d 1 --budgets 2^100000",
+         "error: --budgets '2^100000': '2^100000' is more than 2^63 - 1"),
+        ("rates --method det --d 1 --budgets 2^4..2^100000",
+         "error: --budgets '2^4..2^100000': '2^100000' is more than 2^63 - 1"),
+        ("rates --method det --d 1 --budgets 10^100000000",
+         "error: --budgets '10^100000000': '10^100000000' is more than 2^63 - 1"),
     ],
 )
 def test_out_of_range_inputs_exit_two(capsys, command, message):
@@ -205,6 +216,18 @@ def test_fool_command_signs_match_library(capsys, signs, values):
     assert "membership: pass" in out
 
 
+def test_fool_alternating_signs_take_no_python_list(capsys):
+    # The run peaks near 16 bytes a bump; a Python list of the signs added about 24 more.
+    tracemalloc.start()
+    try:
+        assert main(["fool", "--d", "1", "--n", "1048576", "--signs", "alternating"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "membership: pass" in capsys.readouterr().out
+    assert peak < 24 * 1048576
+
+
 def test_mean_command_estimates_a_constant_half_exactly(capsys):
     # Amplitude 1/2 sits on the estimator's grid, so every trial is exact.
     assert main("mean --n 8 --dist const --eps 0.05 --trials 20 --seed 3".split()) == 0
@@ -279,7 +302,7 @@ def test_integrate_trials_draw_the_streams_rates_draws(tmp_path):
         assert main(["integrate", "--method", "mcvr", "--d", "1", "--eps1", "0.05", "--trials", "2",
                      "--seed", str(seed), "--out", str(out_file), "--format", "json"]) == 0
         runs[seed] = [row["estimate"] for row in json.loads(out_file.read_text())]
-        assert runs[seed] == [sample(ratelab.trial_rng(seed, 0, t)).estimate for t in (0, 1)]
+        assert runs[seed] == [sample(lambda: ratelab.trial_rng(seed, 0, t)).estimate for t in (0, 1)]
     assert runs[1][1] != runs[2][0]
 
 

@@ -158,20 +158,29 @@ def test_det_runs_its_rule_once_per_row_and_gives_each_trial_a_copy(monkeypatch)
     assert cells == [16, 64, 256]
     assert [len(row.trials) for row in report.rows] == [3, 3, 3]
     sample = METHODS["det"].by_budget(f, 16, "query")
-    first = sample(np.random.default_rng(0))
+    first = sample(lambda: np.random.default_rng(0))
     first.ledger.classical_evals += 1
     first.parameters["ell"] = 0
-    second = sample(np.random.default_rng(1))
+    second = sample(lambda: np.random.default_rng(1))
     assert second.ledger.classical_evals == second.parameters["ell"] == 16
     assert second.estimate == first.estimate
     assert cells == [16, 64, 256, 16]
 
 
 def test_only_det_trials_are_given_no_stream(monkeypatch):
-    assert [name for name, method in METHODS.items() if not method.draws] == ["det"]
-    assert METHODS["det"].stream(3, 1, 2) is None
-    expected = ratelab.trial_rng(3, 1, 2).random(4)
-    assert METHODS["mc"].stream(3, 1, 2).random(4).tobytes() == expected.tobytes()
+    built = []
+    original = ratelab.trial_rng
+
+    def recording(*key):
+        built.append(key)
+        return original(*key)
+
+    monkeypatch.setattr(ratelab, "trial_rng", recording)
+    f = suite_member(SPEC1, "quadratic")
+    for method in ("mc", "mcvr", "coin", "quantum"):
+        built.clear()
+        run_convergence(method, SPEC1, [16, 32], trials=2, seed=3, fn=f)
+        assert built == [(3, bi, ti) for bi in (0, 1) for ti in (0, 1)], method
 
     def refused(*args):
         raise AssertionError("a det trial built a stream")
@@ -198,6 +207,11 @@ def test_run_convergence_validation():
     no_integral = HolderFunction(lambda p: p[:, 0], SPEC1)
     with pytest.raises(ConfigurationError):
         run_convergence("det", SPEC1, [4, 8, 16, 32], trials=1, seed=0, fn=no_integral)
+    # A budget past Python's 4300-digit str limit is named as a power of ten.
+    with pytest.raises(ConfigurationError, match=r"^det budget 10\^30103\.0 asks for sizes that do not fit"):
+        run_convergence("det", SPEC1, [2**100000], trials=1, seed=0, fn=f)
+    with pytest.raises(ConfigurationError, match=r"powers of two >= 16, got 10\^47712\.1$"):
+        run_convergence("quantum", SPEC1, [3**100000], trials=1, seed=0, fn=f)
     with pytest.raises(ConfigurationError):
         run_convergence("quantum", SPEC1, [4, 8, 12, 16], trials=1, seed=0, fn=f)
 
@@ -254,7 +268,7 @@ def test_quantum_budget_axis_is_query_count():
 def test_quantum_budget_map_asks_for_the_single_run_error_bound():
     f = suite_member(SPEC1, "quadratic")
     for budget in (16, 64, 1024):
-        result = METHODS["quantum"].by_budget(f, budget, "query")(np.random.default_rng(0))
+        result = METHODS["quantum"].by_budget(f, budget, "query")(lambda: np.random.default_rng(0))
         assert result.parameters["eps1"] == error_bound(budget)
         assert result.parameters["M"] == budget
 
@@ -396,7 +410,7 @@ def test_run_convergence_plans_once_per_row(monkeypatch):
 def test_every_trial_is_charged_the_projection(method):
     f = suite_member(SPEC1, "multiscale")
     sample = METHODS[method].by_budget(f, 256, "query")
-    results = [sample(np.random.default_rng(seed)) for seed in range(4)]
+    results = [sample(lambda: np.random.default_rng(seed)) for seed in range(4)]
     assert len({id(r.ledger) for r in results}) == len(results)
     for r in results:
         per_trial = {"mcvr": "samples", "coin": "draws"}.get(method)
@@ -408,11 +422,11 @@ def test_every_trial_is_charged_the_projection(method):
 def test_trial_parameters_do_not_leak_between_trials(method):
     f = suite_member(SPEC1, "multiscale")
     sample = METHODS[method].by_eps(f, 2**-5, "query")
-    first = sample(np.random.default_rng(0))
+    first = sample(lambda: np.random.default_rng(0))
     kept = dict(first.parameters)
     first.parameters.clear()
     first.parameters["method"] = "tampered"
-    second = sample(np.random.default_rng(0))
+    second = sample(lambda: np.random.default_rng(0))
     assert second.parameters == kept
     assert second.estimate == first.estimate
 
@@ -430,7 +444,7 @@ def test_recorded_trial_arguments_do_not_keep_the_plan_alive(monkeypatch, method
     monkeypatch.setattr(ratelab, name, recording)
     f = suite_member(SPEC1, "multiscale")
     sample = METHODS[method].by_budget(f, 256, "query")
-    first, second = sample(np.random.default_rng(0)), sample(np.random.default_rng(0))
+    first, second = sample(lambda: np.random.default_rng(0)), sample(lambda: np.random.default_rng(0))
     assert first.estimate == second.estimate
     assert recorded[0].parameters.items() <= first.parameters.items()
     del sample
